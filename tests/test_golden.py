@@ -1,0 +1,74 @@
+"""Byte-exact CLI outputs, pinned by the sha256 of stdout.
+
+Each digest was recorded from ``cli.main(argv)`` before the int-bitset and
+single-rate-kernel refactor; any change to a printed rate, bound, sweep row
+or verification verdict changes it.  The three beta1 sweep jobs are the
+benchmark's figure jobs and carry the same digests as ``SWEEP_JOBS`` in
+``perfbench/workloads.py``.
+"""
+
+import hashlib
+
+import pytest
+
+from wiretap_helper.cli import main
+
+_SWEEP_FIGURE = ("sweep --axis beta1 --start 0.05 --stop 2.5 --step 0.001 "
+                 "--beta2 1 --log-snr1 40 --out - ")
+_GAUSSIAN = "gaussian --log-snr1 40 --const-c 1/2 "
+
+GOLDEN = {
+    "rates --n11 10 --n21 8 --n2 10":
+        "78c1fa67fc0fcae25c52dbc52ac06a7332b3adc7645dce852ca7a21d0f478023",
+    "rates --n11 0 --n21 0 --n2 0":
+        "e26a8eed735fed8261d3f2f4ac644e68d4197dd4e55172d63c09ecbd7fd1281d",
+    "rates --n11 5 --n21 5 --n2 3":
+        "79742a995a6b280392599ca9148892ad86f9a7ec2bfd44bfa7cf4e7eccb58b8c",
+    "rates --n11 12 --n21 3 --n2 7":
+        "8b2c75a52048cdb628c22a482d1d4399f8910252977859f4e1da023744ea46c2",
+    "rates --n11 9 --n21 20 --n2 4":
+        "af7f909a6f295484a99f9246f3b325a7c50fabee180fe3d4fcd776dc044d6ec5",
+    "rates --n11 17 --n21 13 --n2 9":
+        "9fecfa06abc74e3a36c7de9f05ba4b1a38576508ac0189bf66efa8cfc539cf50",
+    "rates --n11 40 --n21 31 --n2 22":
+        "12e94c72d21cec1be2db70ed6c102f54ab43abc02bf6dd46ecac831ac8d60a69",
+    _GAUSSIAN + "--beta1 0.5 --beta2 1":
+        "77f3de3badb6877f013d203c96cfa4b3a529f622eaef41bc78f6ba6b0cf73c2e",
+    _GAUSSIAN + "--beta1 0.75 --beta2 1":
+        "b31c8eae59a59e0ce100df5549a6278db1cb9a58156d1962ca839d922cf60bad",
+    _GAUSSIAN + "--beta1 0.9 --beta2 0.5":
+        "527ae7e2964446a21fa59af7b232990c80c5311631101d87a4bd6da4fe4ce268",
+    _GAUSSIAN + "--beta1 1 --beta2 1":
+        "c279d9589c597119c7444c2c9cba7ebf3b1979bfdc3110f0da8618d1fb2a3ba8",
+    _GAUSSIAN + "--beta1 1.5 --beta2 0.3":
+        "c8d28d8c50f4f15f010acba38c9ce08a4fe88384daa3041db02f67ce85093eda",
+    _GAUSSIAN + "--beta1 2.2 --beta2 1":
+        "4413510f7001cbd89e9b3f4546c7c12faf6fcd647a8f5cfd159366fdd760416d",
+    _GAUSSIAN + "--beta1 0.999 --beta2 1":
+        "cdcdad82bf3249783f537fc16b26036a6268ab29be16e4a7c7644231a2e3ee03",
+    _GAUSSIAN + "--beta1 0.7 --beta2 1.3":
+        "65f3055adb138f3212bcacf5d0101d2cbb553b4b6ab0a8e169eaaff4bfb3bfcd",
+    _SWEEP_FIGURE + "--format csv":
+        "99dd8df51fabb87bcafea6b97d2c03cb6fa3f01ecefb09284adb5d78b7e7ccb0",
+    _SWEEP_FIGURE + "--format svg":
+        "fefbffe3865f5711f9e382eaf204cbc34e468aff913390def379cde79d215ecc",
+    _SWEEP_FIGURE + "--format csv --asymptotic":
+        "49a3d131b44a897fc37dd9ad74044cc681e0c805aff3daf14b8610b0e0481850",
+    "sweep --axis beta2 --start 0 --stop 2 --step 0.01 --beta1 0.8 --log-snr1 33":
+        "714b409ef674c4a38142b3532be8f092d9d90eed2b3c8236cc9f1c1f26ce6c39",
+    "sweep --axis n21 --start 0 --stop 40 --step 1 --n11 20 --n2 15":
+        "6bfc711bf04e45ef4493a948cb91c367925a26c99e70a7b1686457512af81583",
+    "verify --max-q 12 --seed 3":
+        "9016d53237514519cd6ee072a4bd2860a0d7ceaaed69cbb4a558c469093e48a0",
+    "verify --max-q 10 --oracle --seed 5":
+        "05a6b04706c92100cecdabfadd03d2a9c35278885afb9dcd0f60b54da5762f63",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_is_byte_identical(command, capsys, monkeypatch):
+    monkeypatch.delenv("WTH_MAX_Q", raising=False)
+    monkeypatch.delenv("WTH_DEFAULT_LOG_SNR1", raising=False)
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN[command]
