@@ -9,19 +9,9 @@ from .gaussian import (
     gaussian_rate,
     level_rate,
     odd_level_sum,
-    remainder_rate,
-    theta,
     to_fraction,
 )
-from .ldm import (
-    BitVector,
-    ChannelParams,
-    Gf2Matrix,
-    ShiftMatrix,
-    down_shift,
-    gf2_rank,
-    ldm_channel,
-)
+from .ldm import ChannelParams, ldm_channel
 from .scheme import (
     Allocation,
     CaseTag,
@@ -38,45 +28,37 @@ from .scheme import (
 from .sweep import SweepRow, SweepSpec, run_sweep, write_csv, write_svg
 from .verify import (
     VerificationRun,
-    VerifyReport,
     decodable,
     leakage,
     oracle_best_rate,
     run_verification,
     simulate_roundtrip,
-    verify_scheme,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Allocation",
-    "BitVector",
     "CaseTag",
     "ChannelParams",
     "ContractError",
     "GaussianParams",
     "GaussianRateBreakdown",
-    "Gf2Matrix",
     "LinearScheme",
     "ParameterError",
     "RateBreakdown",
     "SearchCapError",
-    "ShiftMatrix",
     "SingularCaseError",
     "SweepRow",
     "SweepSpec",
     "UpperBounds",
     "VerificationRun",
-    "VerifyReport",
     "build_linear_scheme",
     "construct_allocation",
     "correspondence",
     "decodable",
-    "down_shift",
     "gaussian_rate",
     "gaussian_upper_bounds",
-    "gf2_rank",
     "l_func",
     "ldm_channel",
     "leakage",
@@ -87,14 +69,11 @@ __all__ = [
     "phi2",
     "r_achievable",
     "r_private",
-    "remainder_rate",
     "run_sweep",
     "run_verification",
     "simulate_roundtrip",
-    "theta",
     "to_fraction",
     "upper_bounds",
-    "verify_scheme",
     "write_csv",
     "write_svg",
 ]

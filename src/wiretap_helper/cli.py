@@ -34,30 +34,24 @@ def _rational(text: str) -> Fraction:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
-def _env_fraction(name: str, fallback: Fraction) -> Fraction:
+def _env(parser: argparse.ArgumentParser, name: str, parse, default):
+    """The value of environment variable ``name`` read by its flag's parser."""
     raw = os.environ.get(name)
     if raw is None:
-        return fallback
+        return default
     try:
-        return to_fraction(raw)
-    except ValueError:
-        return fallback
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        return fallback
+        return parse(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"environment variable {name}: {exc}")
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
@@ -148,8 +142,8 @@ def _cmd_rates(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
     if args.beta1 is None or args.beta2 is None:
         parser.error("the Gaussian family needs --beta1 and --beta2")
-    log_snr1 = args.log_snr1 if args.log_snr1 is not None else _env_fraction(
-        ENV_LOG_SNR1, Fraction(40)
+    log_snr1 = args.log_snr1 if args.log_snr1 is not None else _env(
+        parser, ENV_LOG_SNR1, _rational, Fraction(40)
     )
     g = GaussianParams(log_snr1, args.beta1, args.beta2)
     gb = gaussian_rate(g)
@@ -185,18 +179,15 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         v = getattr(args, name)
         if v is not None and name != args.axis:
             fixed[name] = Fraction(v)
-    log_snr1 = args.log_snr1 if args.log_snr1 is not None else _env_fraction(
-        ENV_LOG_SNR1, Fraction(40)
+    log_snr1 = args.log_snr1 if args.log_snr1 is not None else _env(
+        parser, ENV_LOG_SNR1, _rational, Fraction(40)
     )
     spec = SweepSpec(
         axis=args.axis, start=args.start, stop=args.stop, step=args.step,
         fixed=fixed, log_snr1=log_snr1, const_c=args.const_c,
         asymptotic=args.asymptotic,
     )
-    try:
-        rows = run_sweep(spec)
-    except ParameterError as exc:
-        parser.error(str(exc))
+    rows = run_sweep(spec)
     try:
         fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     except OSError as exc:
@@ -217,7 +208,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    max_q = args.max_q if args.max_q is not None else _env_int(ENV_MAX_Q, 8)
+    max_q = args.max_q if args.max_q is not None else _env(parser, ENV_MAX_Q, _nonneg_int, 8)
     if args.oracle and max_q > ORACLE_CHECK_CAP:
         parser.error(f"--oracle runs are capped at max-q {ORACLE_CHECK_CAP}")
     if max_q > SCHEME_CHECK_CAP:
@@ -238,16 +229,14 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "rates":
-        return _cmd_rates(args, parser, gaussian_only=False)
-    if args.command == "gaussian":
-        return _cmd_rates(args, parser, gaussian_only=True)
-    if args.command == "sweep":
-        return _cmd_sweep(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        if args.command == "sweep":
+            return _cmd_sweep(args, parser)
+        if args.command == "verify":
+            return _cmd_verify(args, parser)
+        return _cmd_rates(args, parser, gaussian_only=args.command == "gaussian")
+    except ParameterError as exc:
+        parser.error(str(exc))
 
 
 def entry() -> None:

@@ -22,9 +22,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .ldm import ChannelParams
-from .scheme import CaseTag, phi1, phi2
-
-_TWO_THIRDS = Fraction(2, 3)
+from .scheme import CaseTag, _rate_kernel
 
 
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
@@ -65,13 +63,6 @@ class GaussianParams:
     def full_levels(self) -> int:
         return math.floor(self.l_max)
 
-    @property
-    def level_width(self) -> Fraction:
-        """Log-domain width of one power level, in bits."""
-        if self.beta1 == 1:
-            raise ParameterError("level structure is undefined at beta1 = 1")
-        return abs(1 - self.beta1) * self.log_snr1
-
 
 @dataclass(frozen=True)
 class GaussianRateBreakdown:
@@ -108,43 +99,15 @@ def _log2_theta(g: GaussianParams, level: int) -> float:
     return hi + math.log1p(-(2.0 ** (lo - hi))) / math.log(2)
 
 
-def _check_level(g: GaussianParams, level: int) -> None:
+def level_rate(g: GaussianParams, level: int) -> float:
+    """Per-level decoding bound, treating all lower levels as noise."""
     if g.beta1 >= 1:
         raise ParameterError("power levels require beta1 < 1")
     if not 1 <= level <= math.ceil(g.l_max):
         raise ParameterError(f"level {level} out of range 1..{math.ceil(g.l_max)}")
-
-
-def theta(g: GaussianParams, level: int) -> float:
-    """Signal power of one level: the difference of two SNR1 powers."""
-    _check_level(g, level)
-    log2_value = _log2_theta(g, level)
-    if log2_value > 1023:  # beyond float range; rate functions stay in log domain
-        return math.inf
-    return 2.0**log2_value
-
-
-def level_rate(g: GaussianParams, level: int) -> float:
-    """Per-level decoding bound, treating all lower levels as noise."""
-    _check_level(g, level)
     lo = float(g.log_snr1 * (1 - level * (1 - g.beta1)))
     noise = _log2_1p_exp2(1.0 + lo)
     return max(0.0, _log2_theta(g, level) - noise)
-
-
-def remainder_rate(g: GaussianParams) -> float:
-    """Rate of the slice left below the last full level, for reporting.
-
-    Zero whenever the full levels tile the power range exactly.
-    """
-    if g.beta1 >= 1:
-        raise ParameterError("power levels require beta1 < 1")
-    width = float(g.log_snr1 * (1 - g.full_levels * (1 - g.beta1)))
-    if width <= 0:
-        return 0.0
-    # log2(2^width - 1)
-    val = width + math.log1p(-(2.0**-width)) / math.log(2)
-    return max(0.0, val)
 
 
 def odd_level_sum(g: GaussianParams) -> float:
@@ -164,46 +127,23 @@ def correspondence(g: GaussianParams) -> ChannelParams:
 def gaussian_rate(g: GaussianParams) -> GaussianRateBreakdown:
     """Achievable Gaussian secrecy rate, exact over rationals.
 
-    The private rate is the log-SNR advantage over the eavesdropper,
-    floored at zero.  In the aligned regime the common rate comes from the
-    same partition-count functions as the deterministic model, applied to
-    log-domain quantities, and the per-level decoding penalty d (one bit
-    per full level) is charged against the total.
+    The structure rates are the deterministic ones of the gain triple
+    (L, beta1 L, beta2 L) with L = log2 SNR1: the private rate is the
+    log-SNR advantage over the eavesdropper, floored at zero, and the common
+    rate comes from the same regimes and partition counts.  In the aligned
+    regime the per-level decoding penalty d (one bit per full level) is
+    charged against the total.
     """
-    L, b1, b2 = g.log_snr1, g.beta1, g.beta2
-    rp = max((1 - b2) * L, Fraction(0))
-    zero = Fraction(0)
-
-    if b1 == 1:
-        return GaussianRateBreakdown(
-            r_private=rp, r_common=zero, r_gross=rp, d=0, r_ach=rp,
-            normalized=rp / L, case_tag=CaseTag.SINGULAR,
-        )
-
-    common_sum = odd_level_sum(g) if b1 < 1 else None
-
-    if b1 < _TWO_THIRDS:
-        r = max((1 - b1) * L, b1 * L, rp)
-        return GaussianRateBreakdown(
-            r_private=rp, r_common=r - rp, r_gross=r, d=0, r_ach=r,
-            normalized=r / L, case_tag=CaseTag.WEAK_HELPER,
-            r_common_sum=common_sum,
-        )
-    if b1 >= 2:
-        return GaussianRateBreakdown(
-            r_private=rp, r_common=L - rp, r_gross=L, d=0, r_ach=L,
-            normalized=Fraction(1), case_tag=CaseTag.STRONG_HELPER,
-        )
-
-    p_arg = (1 - max(1 - b2, zero)) * L
-    q_arg = abs(1 - b1) * L
-    phi = phi1 if (b1 < 1 and b2 < 1) else phi2
-    rc = Fraction(phi(p_arg, q_arg))
-    d = g.full_levels
-    gross = rp + rc
-    r_ach = max(gross - d, zero)
+    L = g.log_snr1
+    gains = (L, g.beta1 * L, g.beta2 * L)
+    den = math.lcm(*(x.denominator for x in gains))
+    rp, rc, tag = _rate_kernel(*(x.numerator * (den // x.denominator) for x in gains))
+    r_private, r_common = Fraction(rp, den), Fraction(rc, den)
+    gross = r_private + r_common
+    d = g.full_levels if tag is CaseTag.ALIGNED else 0
+    r_ach = max(gross - d, Fraction(0))
     return GaussianRateBreakdown(
-        r_private=rp, r_common=rc, r_gross=gross, d=d, r_ach=r_ach,
-        normalized=r_ach / L, case_tag=CaseTag.ALIGNED,
-        r_common_sum=common_sum,
+        r_private=r_private, r_common=r_common, r_gross=gross, d=d, r_ach=r_ach,
+        normalized=r_ach / L, case_tag=tag,
+        r_common_sum=odd_level_sum(g) if g.beta1 < 1 else None,
     )

@@ -1,101 +1,22 @@
 """Linear deterministic channel model over GF(2) bit-vectors.
 
-Signals are fixed-length bit-vectors of length q, where q is the largest
-channel gain of the instance.  Level 1 is the most significant bit.  A gain
-of n bit-levels acts as a downward shift by q - n positions: bits shifted
-past level q fall below the noise floor and are truncated, vacated top
-levels are zero.  Superposition is carry-free XOR per level.
+Signals are length-q bit-vectors stored as Python ints, where q is the
+largest channel gain of the instance.  Bit i holds level i + 1, and level 1
+is the most significant level of the signal.  A gain of n bit-levels acts
+as a downward shift by q - n levels: bits shifted past level q fall below
+the noise floor and are truncated, vacated top levels are zero.
+Superposition is carry-free XOR per level.
 
-The module also provides a small exact GF(2) matrix type used to express
-linear encoding/observation maps, with rank computed by Gaussian
-elimination on int bitsets.
+Linear encoding/observation maps are tuples of such ints, one per column;
+their rank is computed by Gaussian elimination on the bitsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Length-q GF(2) column vector; ``levels[0]`` is level 1 (MSB)."""
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.levels):
-            raise ParameterError("bit-vector entries must be 0 or 1")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        return cls(tuple(int(b) for b in bits))
-
-    @classmethod
-    def zeros(cls, q: int) -> "BitVector":
-        if q < 0:
-            raise ParameterError("vector length must be nonnegative")
-        return cls((0,) * q)
-
-    @classmethod
-    def from_int(cls, value: int, q: int) -> "BitVector":
-        """Unpack an int whose bit i holds level i + 1."""
-        return cls(tuple((value >> i) & 1 for i in range(q)))
-
-    def to_int(self) -> int:
-        """Pack levels into an int with bit i holding level i + 1."""
-        out = 0
-        for i, b in enumerate(self.levels):
-            out |= b << i
-        return out
-
-    def level(self, i: int) -> int:
-        """1-based level access, counted from the top."""
-        if not 1 <= i <= len(self.levels):
-            raise ParameterError(f"level {i} out of range 1..{len(self.levels)}")
-        return self.levels[i - 1]
-
-    def top_nonzero_level(self) -> int | None:
-        for i, b in enumerate(self.levels):
-            if b:
-                return i + 1
-        return None
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if len(self) != len(other):
-            raise ParameterError("XOR of bit-vectors of different lengths")
-        return BitVector(tuple(a ^ b for a, b in zip(self.levels, other.levels)))
-
-
-@dataclass(frozen=True)
-class ShiftMatrix:
-    """Downward shift by ``exponent`` positions on length-``dimension`` vectors.
-
-    Exponent 0 is the identity.  Level i maps to level i + exponent; levels
-    shifted past the dimension are truncated.
-    """
-
-    exponent: int
-    dimension: int
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ParameterError("shift exponent must be nonnegative")
-        if self.dimension < 0:
-            raise ParameterError("shift dimension must be nonnegative")
-
-    def apply(self, x: BitVector) -> BitVector:
-        if len(x) != self.dimension:
-            raise ParameterError(
-                f"vector length {len(x)} does not match shift dimension {self.dimension}"
-            )
-        q, e = self.dimension, self.exponent
-        return BitVector(tuple(x.levels[i - e] if i >= e else 0 for i in range(q)))
 
 
 @dataclass(frozen=True)
@@ -123,26 +44,18 @@ class ChannelParams:
         return abs(self.n11 - self.n21)
 
 
-def down_shift(x: BitVector, gain_n: int, q: int) -> BitVector:
-    """Apply the gain-n channel map to x: shift down by q - gain_n positions."""
-    if len(x) != q:
-        raise ParameterError(f"vector length {len(x)} does not match q={q}")
-    if not 0 <= gain_n <= q:
-        raise ParameterError(f"gain {gain_n} out of range 0..{q}")
-    return ShiftMatrix(q - gain_n, q).apply(x)
-
-
-def ldm_channel(x1p: BitVector, x2p: BitVector, p: ChannelParams) -> tuple[BitVector, BitVector]:
-    """One deterministic channel use: returns (y1, y2).
+def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
+    """One deterministic channel use on length-q bitsets: returns (y1, y2).
 
     y1 sees the user at gain n11 and the helper at gain n21; y2 sees both
     at the common eavesdropper gain n2.
     """
     q = p.q
-    if len(x1p) != q or len(x2p) != q:
-        raise ParameterError(f"channel inputs must have length q={q}")
-    y1 = down_shift(x1p, p.n11, q) ^ down_shift(x2p, p.n21, q)
-    y2 = down_shift(x2p, p.n2, q) ^ down_shift(x1p, p.n2, q)
+    if x1 < 0 or x2 < 0 or (x1 | x2) >> q:
+        raise ParameterError(f"channel inputs must be bitsets of length q={q}")
+    mask = (1 << q) - 1
+    y1 = ((x1 << (q - p.n11)) ^ (x2 << (q - p.n21))) & mask
+    y2 = ((x1 ^ x2) << (q - p.n2)) & mask
     return y1, y2
 
 
@@ -160,84 +73,3 @@ def _rank_of_int_columns(columns: Iterable[int]) -> int:
                 break
             v ^= other
     return rank
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Dense GF(2) matrix stored as int bitsets, one per column.
-
-    Bit i of ``columns[j]`` is the entry at row i + 1, column j + 1.
-    """
-
-    rows: int
-    cols: int
-    columns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ParameterError("matrix dimensions must be nonnegative")
-        if len(self.columns) != self.cols:
-            raise ParameterError("column count does not match cols")
-        limit = 1 << self.rows
-        if any(c < 0 or c >= limit for c in self.columns):
-            raise ParameterError("column entries exceed the row count")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, (0,) * cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ParameterError("ragged row list")
-        columns = [0] * ncols
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise ParameterError("matrix entries must be 0 or 1")
-                if entry:
-                    columns[j] |= 1 << i
-        return cls(nrows, ncols, tuple(columns))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[int], rows: int) -> "Gf2Matrix":
-        return cls(rows, len(columns), tuple(columns))
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based entry access."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise ParameterError("matrix index out of range")
-        return (self.columns[j - 1] >> (i - 1)) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(c >> i) & 1 for c in self.columns] for i in range(self.rows)]
-
-    def hstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.rows != other.rows:
-            raise ParameterError("hstack requires equal row counts")
-        return Gf2Matrix(self.rows, self.cols + other.cols, self.columns + other.columns)
-
-    def apply(self, coeffs: int) -> int:
-        """Matrix-vector product: XOR of the columns selected by ``coeffs`` bits."""
-        out = 0
-        j = 0
-        while coeffs:
-            if coeffs & 1:
-                out ^= self.columns[j]
-            coeffs >>= 1
-            j += 1
-        return out
-
-    def rank(self) -> int:
-        return _rank_of_int_columns(self.columns)
-
-
-def gf2_rank(m: Gf2Matrix) -> int:
-    """Rank over GF(2) via Gaussian elimination; deterministic."""
-    return m.rank()

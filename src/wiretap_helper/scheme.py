@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, SingularCaseError
-from .ldm import ChannelParams, Gf2Matrix
+from .ldm import ChannelParams
 
 Rational = int | Fraction
 
@@ -53,7 +53,6 @@ class Allocation:
 
     message_levels: frozenset[int]
     jam_levels: frozenset[int]
-    delta: int
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,26 @@ class LinearScheme:
     """GF(2) maps from message bits (k) and jam bits (m) to both receivers.
 
     A, B map message and jam to the eavesdropper's observation; C, D map
-    them to the legitimate receiver.  Column order follows ascending level
-    order of the allocation.
+    them to the legitimate receiver.  Each map is a tuple of length-q
+    bitset columns, one per input bit, in ascending level order of the
+    allocation.
     """
 
-    k: int
-    m: int
-    A: Gf2Matrix
-    B: Gf2Matrix
-    C: Gf2Matrix
-    D: Gf2Matrix
+    A: tuple[int, ...]
+    B: tuple[int, ...]
+    C: tuple[int, ...]
+    D: tuple[int, ...]
     message_levels: tuple[int, ...]
     jam_levels: tuple[int, ...]
     params: ChannelParams
+
+    @property
+    def k(self) -> int:
+        return len(self.A)
+
+    @property
+    def m(self) -> int:
+        return len(self.B)
 
 
 def _half(x: Rational) -> Rational:
@@ -111,28 +117,35 @@ def r_private(p: ChannelParams) -> int:
     return max(p.n11 - p.n2, 0)
 
 
-def _uses_phi1(p: ChannelParams) -> bool:
+def _uses_phi1(n11: int, n21: int, n2: int) -> bool:
     # nonzero private part and strictly weaker helper at the legitimate receiver
-    return p.n11 > p.n2 and p.n11 > p.n21
+    return n11 > n2 and n11 > n21
+
+
+def _rate_kernel(n11: int, n21: int, n2: int) -> tuple[int, int, CaseTag]:
+    """(private rate, common rate, regime) of a gain triple.
+
+    Scaling all three gains by c > 0 keeps the regime and scales both rates
+    by c, so the Gaussian closed form calls this on its rational gains
+    scaled to a common denominator.
+    """
+    rp = max(n11 - n2, 0)
+    if n11 == 0:
+        return 0, 0, CaseTag.STRONG_HELPER if n21 > 0 else CaseTag.SINGULAR
+    if 3 * n21 < 2 * n11:
+        return rp, max(n11 - n21, n21, rp) - rp, CaseTag.WEAK_HELPER
+    if n21 >= 2 * n11:
+        return rp, n11 - rp, CaseTag.STRONG_HELPER
+    if n11 == n21:
+        return rp, 0, CaseTag.SINGULAR
+    phi = phi1 if _uses_phi1(n11, n21, n2) else phi2
+    return rp, phi(n11 - rp, abs(n11 - n21)), CaseTag.ALIGNED
 
 
 def r_achievable(p: ChannelParams) -> RateBreakdown:
     """Achievable secrecy rate of the instance (integer bits per channel use)."""
-    rp = r_private(p)
-    if p.n11 == 0:
-        tag = CaseTag.STRONG_HELPER if p.n21 > 0 else CaseTag.SINGULAR
-        return RateBreakdown(0, 0, 0, tag)
-    if 3 * p.n21 < 2 * p.n11:
-        r = max(p.n11 - p.n21, p.n21, rp)
-        return RateBreakdown(rp, r - rp, r, CaseTag.WEAK_HELPER)
-    if p.n21 >= 2 * p.n11:
-        return RateBreakdown(rp, p.n11 - rp, p.n11, CaseTag.STRONG_HELPER)
-    if p.delta == 0:
-        return RateBreakdown(rp, 0, rp, CaseTag.SINGULAR)
-    n_common = p.n11 - rp
-    phi = phi1 if _uses_phi1(p) else phi2
-    rc = int(phi(n_common, p.delta))
-    return RateBreakdown(rp, rc, rp + rc, CaseTag.ALIGNED)
+    rp, rc, tag = _rate_kernel(p.n11, p.n21, p.n2)
+    return RateBreakdown(rp, rc, rp + rc, tag)
 
 
 def _block(delta: int, k: int) -> range:
@@ -146,7 +159,7 @@ def _aligned_common_levels(p: ChannelParams) -> set[int]:
     full = n_common // delta
     rem = n_common - full * delta
     levels: set[int] = set()
-    if _uses_phi1(p):
+    if _uses_phi1(p.n11, p.n21, p.n2):
         # jamming lands one partition below at the receiver, so the
         # bottom-most used partition must keep its landing zone inside
         # the common range; the slot next to the private part is lost.
@@ -185,7 +198,7 @@ def construct_allocation(p: ChannelParams) -> Allocation:
     if br.case_tag is CaseTag.STRONG_HELPER:
         message = set(range(1, p.n11 + 1))
         jam = set(range(1, min(p.n11, p.n2) + 1))
-        return Allocation(frozenset(message), frozenset(jam), p.delta)
+        return Allocation(frozenset(message), frozenset(jam))
     if br.case_tag is CaseTag.WEAK_HELPER:
         gap = p.n11 - p.n21
         if gap >= p.n21 and gap >= rp:
@@ -200,10 +213,10 @@ def construct_allocation(p: ChannelParams) -> Allocation:
         else:
             message = set(range(min(p.n11, p.n2) + 1, p.n11 + 1))
             jam = set()
-        return Allocation(frozenset(message), frozenset(jam), p.delta)
+        return Allocation(frozenset(message), frozenset(jam))
     common = _aligned_common_levels(p)
     message = common | set(range(p.n11 - rp + 1, p.n11 + 1))
-    return Allocation(frozenset(message), frozenset(common), p.delta)
+    return Allocation(frozenset(message), frozenset(common))
 
 
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
@@ -219,18 +232,11 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     def unit(pos: int) -> int:
         return 1 << (pos - 1) if 1 <= pos <= q else 0
 
-    a_cols = tuple(unit(u + q - p.n2) for u in msg)
-    b_cols = tuple(unit(v + q - p.n2) for v in jam)
-    c_cols = tuple(unit(u + q - p.n11) for u in msg)
-    d_cols = tuple(unit(v + q - p.n21) for v in jam)
-    k, m = len(msg), len(jam)
     return LinearScheme(
-        k=k,
-        m=m,
-        A=Gf2Matrix.from_columns(a_cols, q),
-        B=Gf2Matrix.from_columns(b_cols, q),
-        C=Gf2Matrix.from_columns(c_cols, q),
-        D=Gf2Matrix.from_columns(d_cols, q),
+        A=tuple(unit(u + q - p.n2) for u in msg),
+        B=tuple(unit(v + q - p.n2) for v in jam),
+        C=tuple(unit(u + q - p.n11) for u in msg),
+        D=tuple(unit(v + q - p.n21) for v in jam),
         message_levels=msg,
         jam_levels=jam,
         params=p,

@@ -23,8 +23,8 @@ import random
 from dataclasses import dataclass, field
 
 from .bounds import upper_bounds
-from .errors import ContractError, ParameterError, SearchCapError
-from .ldm import BitVector, ChannelParams, ldm_channel, _rank_of_int_columns
+from .errors import ContractError, SearchCapError
+from .ldm import ChannelParams, _rank_of_int_columns, ldm_channel
 from .scheme import (
     Allocation,
     CaseTag,
@@ -37,39 +37,16 @@ from .scheme import (
 ORACLE_DEFAULT_CAP = 12
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of checking one scheme: exact leakage and decodability."""
-
-    leakage_bits: int
-    decodable: bool
-    message_bits: int
-    notes: list[str] = field(default_factory=list)
-
-
 def leakage(s: LinearScheme) -> int:
     """Exact mutual information (bits) between the message and y2."""
-    if s.A.rows != s.B.rows:
-        raise ParameterError("A and B must have matching row counts")
-    joint = _rank_of_int_columns(s.A.columns + s.B.columns)
-    return joint - _rank_of_int_columns(s.B.columns)
+    return _rank_of_int_columns(s.A + s.B) - _rank_of_int_columns(s.B)
 
 
 def decodable(s: LinearScheme) -> bool:
     """True iff the message is recoverable from y1 under every jam value."""
-    if s.C.rows != s.D.rows:
-        raise ParameterError("C and D must have matching row counts")
-    if _rank_of_int_columns(s.C.columns) != s.k:
+    if _rank_of_int_columns(s.C) != s.k:
         return False
-    joint = _rank_of_int_columns(s.C.columns + s.D.columns)
-    return joint == s.k + _rank_of_int_columns(s.D.columns)
-
-
-def verify_scheme(s: LinearScheme) -> VerifyReport:
-    notes: list[str] = []
-    if s.k and all(c == 0 for c in s.A.columns):
-        notes.append("message sits entirely below the eavesdropper noise floor")
-    return VerifyReport(leakage(s), decodable(s), s.k, notes)
+    return _rank_of_int_columns(s.C + s.D) == s.k + _rank_of_int_columns(s.D)
 
 
 def _message_extractor(s: LinearScheme) -> list[int]:
@@ -79,7 +56,7 @@ def _message_extractor(s: LinearScheme) -> list[int]:
     on y1.  Requires a decodable scheme.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    for j, col in enumerate(s.C.columns + s.D.columns):
+    for j, col in enumerate(s.C + s.D):
         rhs = (1 << j) if j < s.k else 0
         while col:
             h = col.bit_length() - 1
@@ -112,7 +89,6 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     if not decodable(s):
         raise ContractError("simulate_roundtrip requires a decodable scheme")
     extractors = _message_extractor(s)
-    p, q = s.params, s.params.q
     rng = random.Random(seed)
     for _ in range(trials):
         w = rng.getrandbits(s.k) if s.k else 0
@@ -125,11 +101,10 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         for j, level in enumerate(s.jam_levels):
             if (u >> j) & 1:
                 x2 |= 1 << (level - 1)
-        y1, _y2 = ldm_channel(BitVector.from_int(x1, q), BitVector.from_int(x2, q), p)
-        y1_int = y1.to_int()
+        y1, _y2 = ldm_channel(x1, x2, s.params)
         decoded = 0
         for j, e in enumerate(extractors):
-            decoded |= ((e & y1_int).bit_count() & 1) << j
+            decoded |= ((e & y1).bit_count() & 1) << j
         if decoded != w:
             return False
     return True
@@ -171,7 +146,7 @@ def oracle_best_rate(
             best_jam = jam_mask & allowed & vis_at_y2
     message = frozenset(i + 1 for i in range(n11) if (best_message >> i) & 1)
     jam = frozenset(i + 1 for i in range(n2) if (best_jam >> i) & 1)
-    return best, Allocation(message, jam, p.delta)
+    return best, Allocation(message, jam)
 
 
 def iter_instances(max_q: int):
@@ -195,7 +170,7 @@ class VerificationRun:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.schemes_checked > 0 and not self.failures
 
 
 def run_verification(
@@ -260,6 +235,10 @@ def run_verification(
     for s in sampled:
         if not simulate_roundtrip(s, roundtrip_trials, seed):
             run.failures.append(f"{s.params}: roundtrip decoding failed")
+    if run.schemes_checked == 0:
+        run.failures.append(
+            f"no scheme was checked: the grid q <= {max_q} has no non-singular instance"
+        )
     if run.singular_instances:
         run.findings.append(
             f"{run.singular_instances} singular instances (n11 == n21): no alignment "

@@ -9,6 +9,8 @@ distinctly everywhere else in the package.
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import xor
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +19,6 @@ from wiretap_helper import (
     CaseTag,
     ChannelParams,
     GaussianParams,
-    Gf2Matrix,
     LinearScheme,
     SweepSpec,
     build_linear_scheme,
@@ -106,16 +107,16 @@ def test_criterion_5_rank_identity_vs_enumeration():
         q = rng.randint(1, 8)
         k = rng.randint(0, 6)
         m = rng.randint(0, min(6, 10 - k))
-        A = Gf2Matrix.from_columns([rng.getrandbits(q) for _ in range(k)], q)
-        B = Gf2Matrix.from_columns([rng.getrandbits(q) for _ in range(m)], q)
-        s = LinearScheme(k=k, m=m, A=A, B=B, C=A, D=B,
-                         message_levels=(), jam_levels=(),
+        A = tuple(rng.getrandbits(q) for _ in range(k))
+        B = tuple(rng.getrandbits(q) for _ in range(m))
+        s = LinearScheme(A=A, B=B, C=A, D=B, message_levels=(), jam_levels=(),
                          params=ChannelParams(q, q, q))
         joint = Counter()
         marginal = Counter()
         for w in range(2**k):
             for u in range(2**m):
-                y = A.apply(w) ^ B.apply(u)
+                # y2 = A w + B u: w picks columns of A, u those of B
+                y = reduce(xor, (c for j, c in enumerate(A + B) if ((u << k | w) >> j) & 1), 0)
                 joint[(w, y)] += 1
                 marginal[y] += 1
         total = 2 ** (k + m)

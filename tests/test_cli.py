@@ -62,6 +62,16 @@ class TestRates:
             main(["rates", "--n11", "3", "--n21", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--log-snr1", "-5", "--beta1", "0.75", "--beta2", "1"],
+        ["--log-snr1", "40", "--beta1", "-1", "--beta2", "1"],
+        ["--log-snr1", "40", "--beta1", "0.75", "--beta2", "1", "--const-c", "-1"],
+    ], ids=["log-snr1", "beta1", "const-c"])
+    def test_out_of_domain_gaussian_value_is_usage_error(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["gaussian", *flags])
+        assert exc.value.code == 2
+
     def test_const_c_shifts_bounds(self, capsys):
         code, out, _ = run_cli(
             capsys, "gaussian", "--log-snr1", "10", "--beta1", "0.8", "--beta2", "1",
@@ -186,6 +196,13 @@ class TestVerifyCommand:
             main(["verify", "--max-q", "25"])
         assert exc.value.code == 2
 
+    def test_grid_without_a_scheme_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-q", "0")
+        assert code == 1
+        assert "schemes built and verified: 0" in out
+        assert "FAIL: no scheme was checked" in out
+        assert "result: FAILED" in out
+
 
 class TestEnvironmentPrecedence:
     def test_env_supplies_log_snr1(self, capsys, monkeypatch):
@@ -212,3 +229,15 @@ class TestEnvironmentPrecedence:
         code, out, _ = run_cli(capsys, "gaussian", "--beta1", "3", "--beta2", "1")
         assert code == 0
         assert "log_snr1=40" in out
+
+    @pytest.mark.parametrize("name,value,argv", [
+        ("WTH_MAX_Q", "abc", ["verify"]),
+        ("WTH_MAX_Q", "-3", ["verify"]),
+        ("WTH_DEFAULT_LOG_SNR1", "1/0", ["gaussian", "--beta1", "0.75", "--beta2", "1"]),
+    ], ids=["max-q-not-int", "max-q-negative", "log-snr1-zero-denominator"])
+    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch, name, value, argv):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"environment variable {name}" in capsys.readouterr().err

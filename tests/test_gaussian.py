@@ -15,9 +15,8 @@ from wiretap_helper import (
     level_rate,
     odd_level_sum,
     r_achievable,
-    remainder_rate,
-    theta,
 )
+from wiretap_helper.gaussian import _log2_theta
 
 
 def gp(log_snr1, beta1, beta2):
@@ -29,10 +28,10 @@ class TestGaussianParams:
         g = gp(20, 0.75, 1)
         assert g.l_max == 4
         assert g.full_levels == 4
-        assert g.level_width == 5
 
     def test_width_mirrors_gain_offset_above_one(self):
-        assert gp(40, 1.25, 1).level_width == 10
+        # level width |1 - beta1| log SNR1 is the deterministic offset delta
+        assert correspondence(gp(40, 1.25, 1)).delta == 10
         assert gp(40, 1.25, 1).full_levels == 4
 
     def test_validation(self):
@@ -45,23 +44,25 @@ class TestGaussianParams:
 
 
 class TestTheta:
+    """Signal power of one level, the difference of two SNR1 powers, in log2."""
+
     def test_first_level_power(self):
-        assert theta(gp(20, 0.75, 1), 1) == pytest.approx(2**20 - 2**15, rel=1e-12)
+        assert 2 ** _log2_theta(gp(20, 0.75, 1), 1) == pytest.approx(2**20 - 2**15, rel=1e-12)
 
     def test_bottom_level_reaches_unit_power(self):
         # integer level count: the last level's lower edge is SNR^0 = 1
-        assert theta(gp(20, 0.75, 1), 4) == pytest.approx(2**5 - 1, rel=1e-12)
+        assert 2 ** _log2_theta(gp(20, 0.75, 1), 4) == pytest.approx(2**5 - 1, rel=1e-12)
 
     def test_single_level_spans_everything_at_beta1_zero(self):
-        assert theta(gp(12, 0, 1), 1) == pytest.approx(2**12 - 1, rel=1e-12)
+        assert 2 ** _log2_theta(gp(12, 0, 1), 1) == pytest.approx(2**12 - 1, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
-            theta(gp(20, 1.5, 1), 1)
+            level_rate(gp(20, 1.5, 1), 1)
         with pytest.raises(ParameterError):
-            theta(gp(20, 0.75, 1), 5)
+            level_rate(gp(20, 0.75, 1), 5)
         with pytest.raises(ParameterError):
-            theta(gp(20, 0.75, 1), 0)
+            level_rate(gp(20, 0.75, 1), 0)
 
 
 class TestLevelRate:
@@ -79,15 +80,6 @@ class TestLevelRate:
 
     def test_large_snr_stays_finite(self):
         assert 0 < level_rate(gp(4000, 0.75, 1), 1) < 4000
-
-
-class TestRemainderRate:
-    def test_zero_when_levels_tile_exactly(self):
-        assert remainder_rate(gp(40, 0.75, 1)) == 0.0
-
-    def test_partial_level_width(self):
-        # width 0.1 * 40 = 4 bits below the three full levels
-        assert remainder_rate(gp(40, 0.7, 1)) == pytest.approx(math.log2(15), abs=1e-9)
 
 
 class TestCorrespondence:

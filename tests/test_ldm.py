@@ -1,68 +1,61 @@
-"""Bit-vector arithmetic, the shift channel map, and GF(2) rank."""
+"""Int-bitset signals, the shift channel map, and GF(2) rank."""
 
 import itertools
 import random
 
 import pytest
 
-from wiretap_helper import (
-    BitVector,
-    ChannelParams,
-    Gf2Matrix,
-    ParameterError,
-    ShiftMatrix,
-    down_shift,
-    gf2_rank,
-    ldm_channel,
-)
+from wiretap_helper import ChannelParams, ParameterError, ldm_channel
+from wiretap_helper.ldm import _rank_of_int_columns
 
 
-def bv(*bits):
-    return BitVector.from_bits(bits)
+def bits(*levels):
+    """Bitset from per-level bits listed from level 1 (the top) down."""
+    return sum(b << i for i, b in enumerate(levels))
+
+
+def shift(x, gain_n, q):
+    """The gain-n channel map alone: x1 through n11 = gain_n, the helper
+    silent, with n2 = q fixing the vector length."""
+    return ldm_channel(x, 0, ChannelParams(gain_n, 0, q))[0]
 
 
 class TestBitVector:
+    """Signals are int bitsets: bit i holds level i + 1, level 1 on top."""
+
     def test_entries_validated(self):
+        p = ChannelParams(3, 1, 2)
         with pytest.raises(ParameterError):
-            BitVector((0, 2, 1))
+            ldm_channel(-1, 0, p)
+        with pytest.raises(ParameterError):
+            ldm_channel(0, -4, p)
 
     def test_level_indexing_is_one_based_from_msb(self):
-        x = bv(1, 0, 1)
-        assert x.level(1) == 1
-        assert x.level(2) == 0
-        assert x.level(3) == 1
-        with pytest.raises(ParameterError):
-            x.level(0)
-
-    def test_int_packing_roundtrip(self):
-        for value in range(16):
-            assert BitVector.from_int(value, 4).to_int() == value
-
-    def test_xor_requires_equal_length(self):
-        with pytest.raises(ParameterError):
-            bv(1, 0) ^ bv(1, 0, 0)
+        # bit 0 is level 1, the top: a gain one below q moves it to level 2,
+        # and the bottom level falls below the noise floor
+        assert shift(0b101, 2, 3) == 0b010
 
     def test_zero_length_vector_is_legal(self):
-        assert len(BitVector.zeros(0)) == 0
+        p = ChannelParams(0, 0, 0)
+        assert ldm_channel(0, 0, p) == (0, 0)
+        with pytest.raises(ParameterError):
+            ldm_channel(1, 0, p)
 
 
 class TestDownShift:
     def test_full_gain_is_identity(self):
-        assert down_shift(bv(1, 0, 1), 3, 3) == bv(1, 0, 1)
+        assert shift(bits(1, 0, 1), 3, 3) == bits(1, 0, 1)
 
     def test_shift_by_two(self):
-        assert down_shift(bv(1, 1, 0), 1, 3) == bv(0, 0, 1)
+        assert shift(bits(1, 1, 0), 1, 3) == bits(0, 0, 1)
 
     def test_zero_gain_truncates_everything(self):
-        assert down_shift(bv(1, 1, 1), 0, 3) == bv(0, 0, 0)
-
-    def test_gain_above_q_rejected(self):
-        with pytest.raises(ParameterError):
-            down_shift(bv(1, 0, 1), 4, 3)
+        assert shift(bits(1, 1, 1), 0, 3) == bits(0, 0, 0)
 
     def test_length_mismatch_rejected(self):
+        # one level more than q, even where the gain is full
         with pytest.raises(ParameterError):
-            down_shift(bv(1, 0), 1, 3)
+            shift(bits(1, 0, 1, 1), 3, 3)
 
     def test_shift_composition(self):
         rng = random.Random(1)
@@ -70,33 +63,31 @@ class TestDownShift:
             q = rng.randint(1, 32)
             e1 = rng.randint(0, q)
             e2 = rng.randint(0, q - e1)
-            x = BitVector.from_int(rng.getrandbits(q), q)
-            two_step = ShiftMatrix(e2, q).apply(ShiftMatrix(e1, q).apply(x))
-            assert two_step == ShiftMatrix(e1 + e2, q).apply(x)
+            x = rng.getrandbits(q)
+            assert shift(shift(x, q - e1, q), q - e2, q) == shift(x, q - e1 - e2, q)
 
 
 class TestLdmChannel:
     def test_zero_inputs(self):
-        p = ChannelParams(3, 1, 2)
-        y1, y2 = ldm_channel(BitVector.zeros(3), BitVector.zeros(3), p)
-        assert y1 == BitVector.zeros(3)
-        assert y2 == BitVector.zeros(3)
+        assert ldm_channel(0, 0, ChannelParams(3, 1, 2)) == (0, 0)
 
     def test_hand_evaluated_superposition(self):
         p = ChannelParams(3, 1, 3)
-        y1, _ = ldm_channel(bv(1, 0, 1), bv(1, 1, 0), p)
-        assert y1 == bv(1, 0, 0)
+        y1, _ = ldm_channel(bits(1, 0, 1), bits(1, 1, 0), p)
+        assert y1 == bits(1, 0, 0)
 
     def test_silent_helper_gives_shifted_user_signal(self):
         p = ChannelParams(4, 2, 4)
-        x1 = bv(1, 0, 1, 1)
-        _, y2 = ldm_channel(x1, BitVector.zeros(4), p)
-        assert y2 == down_shift(x1, p.n11, 4)
+        x1 = bits(1, 0, 1, 1)
+        _, y2 = ldm_channel(x1, 0, p)
+        assert y2 == shift(x1, p.n11, 4)
 
     def test_length_mismatch_rejected(self):
         p = ChannelParams(3, 1, 2)
         with pytest.raises(ParameterError):
-            ldm_channel(bv(1, 0), bv(0, 0, 0), p)
+            ldm_channel(0b1000, 0, p)
+        with pytest.raises(ParameterError):
+            ldm_channel(0, 0b1000, p)
 
     def test_linearity(self):
         rng = random.Random(2)
@@ -105,8 +96,7 @@ class TestLdmChannel:
             p = ChannelParams(rng.randint(0, q), rng.randint(0, q), rng.randint(0, q))
             if p.q != q:
                 continue
-            vecs = [BitVector.from_int(rng.getrandbits(q), q) for _ in range(4)]
-            a, b, c, d = vecs
+            a, b, c, d = (rng.getrandbits(q) for _ in range(4))
             lhs = ldm_channel(a ^ b, c ^ d, p)
             r1 = ldm_channel(a, c, p)
             r2 = ldm_channel(b, d, p)
@@ -119,42 +109,32 @@ class TestLdmChannel:
             p = ChannelParams(rng.randint(0, q), rng.randint(0, q), rng.randint(1, q))
             if p.q != q:
                 continue
-            x = BitVector.from_int(rng.getrandbits(q) | 1, q)
-            zero = BitVector.zeros(q)
-            _, y2_user = ldm_channel(x, zero, p)
-            _, y2_help = ldm_channel(zero, x, p)
-            assert y2_user.top_nonzero_level() == y2_help.top_nonzero_level()
+            x = rng.getrandbits(q) | 1
+            _, y2_user = ldm_channel(x, 0, p)
+            _, y2_help = ldm_channel(0, x, p)
+            # the top nonzero level is the lowest set bit
+            assert (y2_user & -y2_user).bit_length() == (y2_help & -y2_help).bit_length()
 
 
 class TestGf2Rank:
     def test_identity(self):
-        assert gf2_rank(Gf2Matrix.identity(3)) == 3
+        assert _rank_of_int_columns((0b001, 0b010, 0b100)) == 3
 
     def test_zero_matrix(self):
-        assert gf2_rank(Gf2Matrix.zeros(3, 4)) == 0
+        assert _rank_of_int_columns((0, 0, 0, 0)) == 0
 
     def test_repeated_rows(self):
-        assert gf2_rank(Gf2Matrix.from_rows([[1, 1], [1, 1]])) == 1
-
-    def test_from_rows_matches_entries(self):
-        m = Gf2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        assert m.entry(1, 3) == 1
-        assert m.entry(2, 1) == 0
-        assert m.to_rows() == [[1, 0, 1], [0, 1, 1]]
-
-    def test_hstack_requires_matching_rows(self):
-        with pytest.raises(ParameterError):
-            Gf2Matrix.identity(2).hstack(Gf2Matrix.identity(3))
+        # rows [1 1] and [1 1]: both columns are 0b11
+        assert _rank_of_int_columns((0b11, 0b11)) == 1
 
     def test_rank_matches_exhaustive_row_space_enumeration(self):
         rng = random.Random(4)
         for _ in range(150):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            m = Gf2Matrix.from_rows(
-                [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-            )
-            row_ints = [sum(r[j] << j for j in range(cols)) for r in m.to_rows()]
+            columns = tuple(rng.getrandbits(rows) for _ in range(cols))
+            row_ints = [sum(((c >> i) & 1) << j for j, c in enumerate(columns))
+                        for i in range(rows)]
             span = set()
             for picks in itertools.product((0, 1), repeat=rows):
                 v = 0
@@ -162,11 +142,7 @@ class TestGf2Rank:
                     if take:
                         v ^= r
                 span.add(v)
-            assert 2 ** gf2_rank(m) == len(span)
-
-    def test_apply_is_column_combination(self):
-        m = Gf2Matrix.from_rows([[1, 0], [1, 1], [0, 1]])
-        assert m.apply(0b11) == m.columns[0] ^ m.columns[1]
+            assert 2 ** _rank_of_int_columns(columns) == len(span)
 
 
 class TestChannelParams:
@@ -178,8 +154,7 @@ class TestChannelParams:
     def test_degenerate_all_zero_instance(self):
         p = ChannelParams(0, 0, 0)
         assert p.q == 0
-        y1, y2 = ldm_channel(BitVector.zeros(0), BitVector.zeros(0), p)
-        assert len(y1) == 0 and len(y2) == 0
+        assert p.delta == 0
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ParameterError):

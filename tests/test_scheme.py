@@ -140,7 +140,6 @@ class TestConstructAllocation:
         a = construct_allocation(ChannelParams(10, 8, 10))
         assert sorted(a.message_levels) == [1, 2, 5, 6, 9, 10]
         assert sorted(a.jam_levels) == [1, 2, 5, 6, 9, 10]
-        assert a.delta == 2
 
     def test_strong_helper_uses_top_levels(self):
         a = construct_allocation(ChannelParams(4, 8, 4))
@@ -181,9 +180,9 @@ class TestConstructAllocation:
 class TestBuildLinearScheme:
     def test_empty_allocation(self):
         p = ChannelParams(5, 3, 4)
-        s = build_linear_scheme(Allocation(frozenset(), frozenset(), p.delta), p)
+        s = build_linear_scheme(Allocation(frozenset(), frozenset()), p)
         assert s.k == 0 and s.m == 0
-        assert s.A.cols == s.B.cols == s.C.cols == s.D.cols == 0
+        assert s.A == s.B == s.C == s.D == ()
 
     def test_constructed_scheme_is_secret_and_decodable(self):
         p = ChannelParams(10, 8, 10)
@@ -195,26 +194,26 @@ class TestBuildLinearScheme:
     def test_private_only_message_vanishes_at_eavesdropper(self):
         p = ChannelParams(10, 2, 6)
         s = build_linear_scheme(
-            Allocation(frozenset({7, 8, 9, 10}), frozenset(), p.delta), p
+            Allocation(frozenset({7, 8, 9, 10}), frozenset()), p
         )
         assert s.k == 4 and s.m == 0
-        assert all(c == 0 for c in s.A.columns)
+        assert all(c == 0 for c in s.A)
         assert leakage(s) == 0 and decodable(s)
 
     def test_out_of_range_levels_rejected(self):
         p = ChannelParams(5, 3, 4)
         with pytest.raises(ParameterError):
-            build_linear_scheme(Allocation(frozenset({6}), frozenset(), p.delta), p)
+            build_linear_scheme(Allocation(frozenset({6}), frozenset()), p)
         with pytest.raises(ParameterError):
-            build_linear_scheme(Allocation(frozenset({1}), frozenset({5}), p.delta), p)
+            build_linear_scheme(Allocation(frozenset({1}), frozenset({5})), p)
 
     def test_column_order_follows_level_order(self):
         p = ChannelParams(4, 2, 4)
         s = build_linear_scheme(
-            Allocation(frozenset({3, 1}), frozenset({2}), p.delta), p
+            Allocation(frozenset({3, 1}), frozenset({2})), p
         )
         assert s.message_levels == (1, 3)
-        assert s.C.columns[0] == 1 << 0 and s.C.columns[1] == 1 << 2
+        assert s.C == (1 << 0, 1 << 2)
 
 
 class TestAgainstConverse:
@@ -228,8 +227,14 @@ class TestSchemeMatricesMatchChannel:
         # A,B,C,D must reproduce exactly what the shift channel does to
         # bits placed on the allocated levels
         import random
+        from functools import reduce
+        from operator import xor
 
-        from wiretap_helper import BitVector, ldm_channel
+        from wiretap_helper import ldm_channel
+
+        def apply(columns, coeffs):
+            """XOR of the columns selected by the bits of coeffs."""
+            return reduce(xor, (c for j, c in enumerate(columns) if (coeffs >> j) & 1), 0)
 
         rng = random.Random(7)
         for _ in range(200):
@@ -239,13 +244,11 @@ class TestSchemeMatricesMatchChannel:
                 continue
             msg = sorted(rng.sample(range(1, p.n11 + 1), rng.randint(0, p.n11)))
             jam = sorted(rng.sample(range(1, p.n2 + 1), rng.randint(0, p.n2))) if p.n2 else []
-            s = build_linear_scheme(
-                Allocation(frozenset(msg), frozenset(jam), p.delta), p
-            )
+            s = build_linear_scheme(Allocation(frozenset(msg), frozenset(jam)), p)
             w = rng.getrandbits(s.k) if s.k else 0
             u = rng.getrandbits(s.m) if s.m else 0
             x1 = sum(1 << (lvl - 1) for j, lvl in enumerate(msg) if (w >> j) & 1)
             x2 = sum(1 << (lvl - 1) for j, lvl in enumerate(jam) if (u >> j) & 1)
-            y1, y2 = ldm_channel(BitVector.from_int(x1, q), BitVector.from_int(x2, q), p)
-            assert y1.to_int() == s.C.apply(w) ^ s.D.apply(u)
-            assert y2.to_int() == s.A.apply(w) ^ s.B.apply(u)
+            y1, y2 = ldm_channel(x1, x2, p)
+            assert y1 == apply(s.C, w) ^ apply(s.D, u)
+            assert y2 == apply(s.A, w) ^ apply(s.B, u)
