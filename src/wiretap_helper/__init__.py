@@ -1,7 +1,7 @@
 """Secrecy-rate analysis for the linear deterministic wiretap channel with a helper."""
 
 from .bounds import UpperBounds, gaussian_upper_bounds, upper_bounds
-from .errors import ContractError, ParameterError, SearchCapError, SingularCaseError
+from .errors import ContractError, ParameterError, SingularCaseError
 from .gaussian import (
     GaussianParams,
     GaussianRateBreakdown,
@@ -35,7 +35,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Allocation",
@@ -47,7 +47,6 @@ __all__ = [
     "LinearScheme",
     "ParameterError",
     "RateBreakdown",
-    "SearchCapError",
     "SingularCaseError",
     "SweepRow",
     "SweepSpec",

@@ -15,9 +15,5 @@ class SingularCaseError(ValueError):
     """
 
 
-class SearchCapError(ValueError):
-    """An exhaustive search was requested above its enforced size cap."""
-
-
 class ContractError(RuntimeError):
     """An operation was invoked on an object that fails its required contract."""

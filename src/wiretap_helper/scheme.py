@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParameterError, SingularCaseError
 from .ldm import ChannelParams
-
-Rational = int | Fraction
 
 
 class CaseTag(enum.Enum):
@@ -82,34 +79,29 @@ class LinearScheme:
         return len(self.B)
 
 
-def _half(x: Rational) -> Rational:
-    # callers guarantee x is even when it is an int
-    return x // 2 if isinstance(x, int) else x / 2
-
-
-def l_func(p: Rational, q: Rational) -> int:
+def l_func(p: int, q: int) -> int:
     """Number of whole q-sized blocks in p; zero when q is zero."""
     if p < 0 or q < 0:
         raise ParameterError("l(p, q) expects nonnegative arguments")
     if q == 0:
         return 0
-    return int(p // q)
+    return p // q
 
 
-def phi1(p: Rational, q: Rational) -> Rational:
+def phi1(p: int, q: int) -> int:
     """Common rate when the partition adjacent to the private part is unusable."""
     lv = l_func(p, q)
     if lv % 2 == 0:
-        return _half(lv * q)
-    return p - _half((lv + 1) * q)
+        return lv * q // 2
+    return p - (lv + 1) * q // 2
 
 
-def phi2(p: Rational, q: Rational) -> Rational:
+def phi2(p: int, q: int) -> int:
     """Common rate when every second partition, plus an odd remainder, is usable."""
     lv = l_func(p, q)
     if lv % 2 == 1:
-        return _half((lv + 1) * q)
-    return p - _half(lv * q)
+        return (lv + 1) * q // 2
+    return p - lv * q // 2
 
 
 def r_private(p: ChannelParams) -> int:

@@ -26,6 +26,8 @@ from .scheme import r_achievable
 DET_AXES = ("n11", "n21", "n2")
 GAUSS_AXES = ("beta1", "beta2")
 
+MAX_SWEEP_ROWS = 100_000
+
 CSV_COLUMNS = (
     "axis_value", "r_ach", "r_private", "r_common",
     "ub1", "ub2", "ub3", "min_ub",
@@ -49,12 +51,10 @@ class SweepSpec:
             raise ParameterError("sweep step must be positive")
         if self.start > self.stop:
             raise ParameterError("sweep start must not exceed stop")
-        values = []
-        v = self.start
-        while v <= self.stop:
-            values.append(v)
-            v += self.step
-        return values
+        count = (self.stop - self.start) // self.step + 1
+        if count > MAX_SWEEP_ROWS:
+            raise ParameterError(f"sweep has {count} rows, above the cap of {MAX_SWEEP_ROWS}")
+        return [self.start + k * self.step for k in range(count)]
 
 
 @dataclass(frozen=True)

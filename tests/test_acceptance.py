@@ -88,17 +88,20 @@ def test_criterion_3_converse_consistency_q30():
     report(3, "achievable never exceeds converse, q <= 30")
 
 
-def test_criterion_4_oracle_dominance_q10():
+def test_criterion_4_oracle_dominance_q24():
     gaps = 0
-    for p in iter_instances(10):
+    for p in iter_instances(24):
         br = r_achievable(p)
         ub = upper_bounds(p)
-        rate, _ = oracle_best_rate(p)
+        rate, witness = oracle_best_rate(p)
         assert rate >= br.r_ach, p
         assert rate <= ub.min_ub, p
+        s = build_linear_scheme(witness, p)
+        assert leakage(s) == 0 and decodable(s) and s.k == rate, p
         if rate > br.r_ach:
             gaps += 1
-    report(4, f"oracle dominance on q <= 10 ({gaps} strict gaps reported as findings)")
+    assert gaps == 144
+    report(4, f"oracle dominance on q <= 24 ({gaps} strict gaps reported as findings)")
 
 
 def test_criterion_5_rank_identity_vs_enumeration():

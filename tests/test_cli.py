@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wiretap_helper import SweepSpec, run_sweep
+from wiretap_helper import ParameterError, SweepSpec, run_sweep, sweep
 from wiretap_helper.cli import main
 
 
@@ -156,6 +156,21 @@ class TestSweep:
                   "--step", "0.5", "--n21", "2", "--n2", "3"])
         assert exc.value.code == 2
 
+    def test_row_cap_is_usage_error(self, capsys):
+        # the count is checked before any row is built
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "n11", "--start", "0", "--stop", "1000000000",
+                  "--step", "1", "--n21", "2", "--n2", "3"])
+        assert exc.value.code == 2
+        assert "above the cap of 100000" in capsys.readouterr().err
+
+    def test_row_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(sweep, "MAX_SWEEP_ROWS", 3)
+        spec = SweepSpec(axis="beta1", start=F(1, 10), stop=F(3, 10), step=F(1, 10))
+        assert spec.grid() == [F(1, 10), F(2, 10), F(3, 10)]
+        with pytest.raises(ParameterError, match="4 rows"):
+            SweepSpec(axis="beta1", start=F(0), stop=F(3, 10), step=F(1, 10)).grid()
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--axis", "n11", "--start", "1", "--stop", "2",
@@ -186,10 +201,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "oracle beats the partition formula" in out
 
+    @pytest.mark.parametrize("max_q,searches,gaps", [(11, 1728, 10), (24, 15625, 144)])
+    def test_oracle_runs_up_to_the_grid_cap(self, capsys, max_q, searches, gaps):
+        code, out, _ = run_cli(capsys, "verify", "--max-q", str(max_q), "--oracle")
+        assert code == 0
+        assert f"oracle searches: {searches}" in out
+        assert f"finding: {gaps} instances where the exhaustive oracle beats" in out
+
     def test_oracle_cap(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--max-q", "30", "--oracle"])
-        assert exc.value.code == 2
+        for max_q in ("25", "30"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--max-q", max_q, "--oracle"])
+            assert exc.value.code == 2
 
     def test_scheme_cap(self):
         with pytest.raises(SystemExit) as exc:

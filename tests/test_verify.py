@@ -8,6 +8,7 @@ from functools import reduce
 from operator import xor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wiretap_helper import (
     Allocation,
@@ -15,7 +16,6 @@ from wiretap_helper import (
     ChannelParams,
     ContractError,
     LinearScheme,
-    SearchCapError,
     build_linear_scheme,
     construct_allocation,
     decodable,
@@ -26,6 +26,7 @@ from wiretap_helper import (
     simulate_roundtrip,
     upper_bounds,
 )
+from wiretap_helper.verify import iter_instances
 
 I3 = (0b001, 0b010, 0b100)  # identity map on q = 3 levels
 
@@ -148,6 +149,42 @@ def naive_oracle(p):
     return best
 
 
+def enumerated_oracle(p):
+    """Reference search over every jam subset of the helper's levels as seen
+    at the eavesdropper, 2^n2 per instance.  For a fixed jam set the
+    eligibility of each message level is independent: it must be invisible
+    to the eavesdropper or covered by the jam, and it must not sit where a
+    jam bit lands at the legitimate receiver."""
+    n11, n21, n2 = p.n11, p.n21, p.n2
+    full11 = (1 << n11) - 1
+    vis_at_y2 = (1 << min(n11, n2)) - 1
+    invisible = full11 & ~vis_at_y2
+    vis_at_y1 = (1 << min(n2, n21)) - 1
+    offset = n11 - n21
+    best = -1
+    best_message = 0
+    best_jam = 0
+    for jam_mask in range(1 << n2):
+        heard = jam_mask & vis_at_y1
+        landing = (heard << offset) if offset >= 0 else (heard >> -offset)
+        allowed = ~landing & (invisible | (jam_mask & vis_at_y2)) & full11
+        count = allowed.bit_count()
+        if count > best:
+            best = count
+            best_message = allowed
+            best_jam = jam_mask & allowed & vis_at_y2
+    message = frozenset(i + 1 for i in range(n11) if (best_message >> i) & 1)
+    jam = frozenset(i + 1 for i in range(n2) if (best_jam >> i) & 1)
+    return best, Allocation(message, jam)
+
+
+def assert_witness_verifies(p, rate, witness):
+    s = build_linear_scheme(witness, p)
+    assert leakage(s) == 0, p
+    assert decodable(s), p
+    assert s.k == rate, p
+
+
 class TestOracle:
     def test_helper_inaudible_at_receiver_still_jams(self):
         # n21 = 0: the jam reaches the eavesdropper at gain n2 and never
@@ -165,22 +202,30 @@ class TestOracle:
         assert rate >= r_achievable(ChannelParams(4, 3, 4)).r_ach == 2
         assert rate == 2  # ub1 = 2.5 caps it
 
-    def test_cap_enforced(self):
-        with pytest.raises(SearchCapError, match="max_q=12"):
-            oracle_best_rate(ChannelParams(13, 2, 2))
-        # raising the cap admits the instance; jamming the two levels the
-        # eavesdropper hears would land on the message, so 11 is the optimum
+    def test_no_size_cap(self):
+        # jamming the two levels the eavesdropper hears would land on the
+        # message, so 11 is the optimum
         p = ChannelParams(13, 2, 2)
-        assert oracle_best_rate(p, max_q=13)[0] == 11 == r_achievable(p).r_ach
+        assert oracle_best_rate(p)[0] == 11 == r_achievable(p).r_ach
 
     def test_witness_always_verifies(self):
         for p in (ChannelParams(6, 4, 5), ChannelParams(7, 5, 6),
                   ChannelParams(5, 5, 5), ChannelParams(8, 3, 8)):
+            assert_witness_verifies(p, *oracle_best_rate(p))
+
+    def test_matches_jam_subset_enumeration_q12(self):
+        for p in iter_instances(12):
             rate, witness = oracle_best_rate(p)
-            s = build_linear_scheme(witness, p)
-            assert leakage(s) == 0
-            assert decodable(s)
-            assert s.k == rate
+            assert rate == enumerated_oracle(p)[0], p
+            assert_witness_verifies(p, rate, witness)
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
+    def test_between_formula_and_converse(self, n11, n21, n2):
+        p = ChannelParams(n11, n21, n2)
+        rate, witness = oracle_best_rate(p)
+        assert r_achievable(p).r_ach <= rate <= upper_bounds(p).min_ub
+        assert_witness_verifies(p, rate, witness)
 
     def test_matches_naive_enumeration_small_grid(self):
         for n11 in range(5):
