@@ -23,7 +23,6 @@ from .scheme import (
     phi1,
     phi2,
     r_achievable,
-    r_private,
 )
 from .sweep import SweepRow, SweepSpec, run_sweep, write_csv, write_svg
 from .verify import (
@@ -35,7 +34,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "Allocation",
@@ -67,7 +66,6 @@ __all__ = [
     "phi1",
     "phi2",
     "r_achievable",
-    "r_private",
     "run_sweep",
     "run_verification",
     "simulate_roundtrip",

@@ -53,14 +53,20 @@ def _env(parser: argparse.ArgumentParser, name: str, parse, default):
         parser.error(f"environment variable {name}: {exc}")
 
 
-def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n11", type=_nonneg_int, help="direct gain, bit levels")
-    sub.add_argument("--n21", type=_nonneg_int, help="helper gain at the legitimate receiver")
-    sub.add_argument("--n2", type=_nonneg_int, help="common gain at the eavesdropper")
+def _add_det_flags(sub: argparse.ArgumentParser, required: bool) -> None:
+    sub.add_argument("--n11", type=_nonneg_int, required=required, help="direct gain, bit levels")
+    sub.add_argument("--n21", type=_nonneg_int, required=required,
+                     help="helper gain at the legitimate receiver")
+    sub.add_argument("--n2", type=_nonneg_int, required=required,
+                     help="common gain at the eavesdropper")
+
+
+def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool) -> None:
     sub.add_argument("--log-snr1", type=_rational, dest="log_snr1",
                      help="log2 SNR of the direct link (Gaussian family)")
-    sub.add_argument("--beta1", type=_rational, help="helper SNR exponent")
-    sub.add_argument("--beta2", type=_rational, help="eavesdropper SNR exponent")
+    sub.add_argument("--beta1", type=_rational, required=required, help="helper SNR exponent")
+    sub.add_argument("--beta2", type=_rational, required=required,
+                     help="eavesdropper SNR exponent")
     sub.add_argument("--const-c", type=_rational, dest="const_c", default=Fraction(0),
                      help="constant-gap term added to Gaussian bounds (default 0)")
 
@@ -73,23 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rates = sub.add_parser("rates", help="single-instance rate and bound report")
-    _add_family_flags(rates)
+    rates = sub.add_parser("rates", help="rate and bound report of a deterministic instance")
+    _add_det_flags(rates, required=True)
+    rates.set_defaults(run=_cmd_rates)
 
-    gauss = sub.add_parser("gaussian", help="rates with the Gaussian parameter family")
-    _add_family_flags(gauss)
+    gauss = sub.add_parser("gaussian", help="rate and bound report of a Gaussian instance")
+    _add_gauss_flags(gauss, required=True)
+    gauss.set_defaults(run=_cmd_gaussian)
 
     sweep = sub.add_parser("sweep", help="sweep one parameter and write CSV or SVG")
     sweep.add_argument("--axis", required=True, choices=DET_AXES + GAUSS_AXES)
     sweep.add_argument("--start", type=_rational, required=True)
     sweep.add_argument("--stop", type=_rational, required=True)
     sweep.add_argument("--step", type=_rational, required=True)
-    _add_family_flags(sweep)
+    _add_det_flags(sweep, required=False)
+    _add_gauss_flags(sweep, required=False)
     sweep.add_argument("--out", default="-", help="output path, '-' for stdout")
     sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
     sweep.add_argument("--asymptotic", action="store_true",
                        help="report the deterministic normalized rate under the "
                             "integer correspondence instead of the finite-SNR one")
+    sweep.set_defaults(run=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the exact checks over a parameter grid")
     verify.add_argument("--max-q", type=_nonneg_int, dest="max_q", default=None,
@@ -97,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--oracle", action="store_true",
                         help="also run the exact O(q) allocation oracle")
     verify.add_argument("--seed", type=int, default=0)
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -112,39 +123,31 @@ def _print_bound_block(ub, r_ach) -> None:
     print(f"tight: {'yes' if Fraction(r_ach) == ub.min_ub else 'no'}")
 
 
-def _cmd_rates(args: argparse.Namespace, parser: argparse.ArgumentParser,
-               gaussian_only: bool) -> int:
-    det_given = [v for v in (args.n11, args.n21, args.n2) if v is not None]
-    gauss_given = args.beta1 is not None or args.beta2 is not None
-    if det_given and (gauss_given or args.log_snr1 is not None):
-        parser.error("supply either --n11/--n21/--n2 or --log-snr1/--beta1/--beta2, not both")
-    if gaussian_only and det_given:
-        parser.error("the gaussian command takes --log-snr1/--beta1/--beta2")
+def _log_snr1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Fraction:
+    if args.log_snr1 is not None:
+        return args.log_snr1
+    return _env(parser, ENV_LOG_SNR1, _rational, Fraction(40))
 
-    if det_given and not gaussian_only:
-        if len(det_given) != 3:
-            parser.error("the deterministic family needs all of --n11, --n21, --n2")
-        p = ChannelParams(args.n11, args.n21, args.n2)
-        br = r_achievable(p)
-        ub = upper_bounds(p)
-        print("family: deterministic")
-        print(f"n11={p.n11} n21={p.n21} n2={p.n2} (q={p.q}, delta={p.delta})")
-        print(f"case: {br.case_tag.value}")
-        if br.case_tag is CaseTag.SINGULAR:
-            print("note: equal direct and helper gains admit no alignment scheme; "
-                  "only the private rate is reported")
-        print(f"r_private: {br.r_private}")
-        print(f"r_common: {br.r_common}")
-        print(f"r_ach: {br.r_ach}")
-        _print_bound_block(ub, br.r_ach)
-        return 0
 
-    if args.beta1 is None or args.beta2 is None:
-        parser.error("the Gaussian family needs --beta1 and --beta2")
-    log_snr1 = args.log_snr1 if args.log_snr1 is not None else _env(
-        parser, ENV_LOG_SNR1, _rational, Fraction(40)
-    )
-    g = GaussianParams(log_snr1, args.beta1, args.beta2)
+def _cmd_rates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    p = ChannelParams(args.n11, args.n21, args.n2)
+    br = r_achievable(p)
+    ub = upper_bounds(p)
+    print("family: deterministic")
+    print(f"n11={p.n11} n21={p.n21} n2={p.n2} (q={p.q}, delta={p.delta})")
+    print(f"case: {br.case_tag.value}")
+    if br.case_tag is CaseTag.SINGULAR:
+        print("note: equal direct and helper gains admit no alignment scheme; "
+              "only the private rate is reported")
+    print(f"r_private: {br.r_private}")
+    print(f"r_common: {br.r_common}")
+    print(f"r_ach: {br.r_ach}")
+    _print_bound_block(ub, br.r_ach)
+    return 0
+
+
+def _cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    g = GaussianParams(_log_snr1(args, parser), args.beta1, args.beta2)
     gb = gaussian_rate(g)
     cp = correspondence(g)
     ub = gaussian_upper_bounds(cp, args.const_c)
@@ -178,12 +181,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         v = getattr(args, name)
         if v is not None and name != args.axis:
             fixed[name] = Fraction(v)
-    log_snr1 = args.log_snr1 if args.log_snr1 is not None else _env(
-        parser, ENV_LOG_SNR1, _rational, Fraction(40)
-    )
     spec = SweepSpec(
         axis=args.axis, start=args.start, stop=args.stop, step=args.step,
-        fixed=fixed, log_snr1=log_snr1, const_c=args.const_c,
+        fixed=fixed, log_snr1=_log_snr1(args, parser), const_c=args.const_c,
         asymptotic=args.asymptotic,
     )
     rows = run_sweep(spec)
@@ -227,11 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        return _cmd_rates(args, parser, gaussian_only=args.command == "gaussian")
+        return args.run(args, parser)
     except ParameterError as exc:
         parser.error(str(exc))
 

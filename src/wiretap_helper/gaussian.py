@@ -112,6 +112,8 @@ def level_rate(g: GaussianParams, level: int) -> float:
 
 def odd_level_sum(g: GaussianParams) -> float:
     """Sum of the per-level bounds over the odd (message-carrying) levels."""
+    if g.beta1 >= 1:
+        raise ParameterError("power levels require beta1 < 1")
     return sum(level_rate(g, l) for l in range(1, g.full_levels + 1, 2))
 
 

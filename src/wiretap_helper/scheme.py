@@ -104,11 +104,6 @@ def phi2(p: int, q: int) -> int:
     return p - lv * q // 2
 
 
-def r_private(p: ChannelParams) -> int:
-    """Levels of the user signal below the eavesdropper's noise floor."""
-    return max(p.n11 - p.n2, 0)
-
-
 def _uses_phi1(n11: int, n21: int, n2: int) -> bool:
     # nonzero private part and strictly weaker helper at the legitimate receiver
     return n11 > n2 and n11 > n21
@@ -140,75 +135,45 @@ def r_achievable(p: ChannelParams) -> RateBreakdown:
     return RateBreakdown(rp, rc, rp + rc, tag)
 
 
-def _block(delta: int, k: int) -> range:
-    """Positions of the k-th delta-sized partition, counted from the top."""
-    return range((k - 1) * delta + 1, k * delta + 1)
-
-
-def _aligned_common_levels(p: ChannelParams) -> set[int]:
-    delta = p.delta
-    n_common = p.n11 - r_private(p)
-    full = n_common // delta
-    rem = n_common - full * delta
-    levels: set[int] = set()
-    if _uses_phi1(p.n11, p.n21, p.n2):
-        # jamming lands one partition below at the receiver, so the
-        # bottom-most used partition must keep its landing zone inside
-        # the common range; the slot next to the private part is lost.
-        if full % 2 == 0:
-            for k in range(1, full, 2):
-                levels.update(_block(delta, k))
-        else:
-            for k in range(1, full - 1, 2):
-                levels.update(_block(delta, k))
-            top = (full - 1) * delta
-            levels.update(range(top + 1, top + rem + 1))
-    else:
-        if full % 2 == 1:
-            for k in range(1, full + 1, 2):
-                levels.update(_block(delta, k))
-        else:
-            for k in range(1, full, 2):
-                levels.update(_block(delta, k))
-            levels.update(range(full * delta + 1, n_common + 1))
-    return levels
-
-
 def construct_allocation(p: ChannelParams) -> Allocation:
     """Build the level allocation realizing the achievable rate exactly.
+
+    Each regime names its message levels; the helper then jams every
+    message level the eavesdropper hears (1..n2), which erases them there.
 
     Raises SingularCaseError when no alignment scheme exists (n11 == n21
     within the aligned regime, or the all-zero instance).
     """
-    br = r_achievable(p)
-    if br.case_tag is CaseTag.SINGULAR:
+    rp, _, tag = _rate_kernel(p.n11, p.n21, p.n2)
+    if tag is CaseTag.SINGULAR:
         raise SingularCaseError(
             f"no alignment scheme for n11={p.n11}, n21={p.n21}: "
             "equal gains leave nothing to align against"
         )
-    rp = br.r_private
-    if br.case_tag is CaseTag.STRONG_HELPER:
+    n_common = p.n11 - rp
+    gap = p.n11 - p.n21
+    private = range(n_common + 1, p.n11 + 1)
+    if tag is CaseTag.STRONG_HELPER:
         message = set(range(1, p.n11 + 1))
-        jam = set(range(1, min(p.n11, p.n2) + 1))
-        return Allocation(frozenset(message), frozenset(jam))
-    if br.case_tag is CaseTag.WEAK_HELPER:
-        gap = p.n11 - p.n21
-        if gap >= p.n21 and gap >= rp:
-            # top block, jam-covered; the jam lands in the next block down
-            message = set(range(1, gap + 1))
-            jam = set(range(1, min(gap, p.n2) + 1))
-        elif p.n21 >= rp:
-            # top block plus everything below the jam's landing zone; the
-            # weak ratio pushes jamming for the lower slice off the vector
-            message = set(range(1, gap + 1)) | set(range(2 * gap + 1, p.n11 + 1))
-            jam = {v for v in message if v <= p.n2}
-        else:
-            message = set(range(min(p.n11, p.n2) + 1, p.n11 + 1))
-            jam = set()
-        return Allocation(frozenset(message), frozenset(jam))
-    common = _aligned_common_levels(p)
-    message = common | set(range(p.n11 - rp + 1, p.n11 + 1))
-    return Allocation(frozenset(message), frozenset(common))
+    elif tag is CaseTag.ALIGNED:
+        # every second delta-partition of the common levels, from the top;
+        # jamming lands one partition below at the receiver, so in the phi1
+        # branch the partition next to the private part is its landing zone
+        delta = p.delta
+        top = n_common - delta if _uses_phi1(p.n11, p.n21, p.n2) else n_common
+        message = {v for v in range(1, top + 1) if (v - 1) // delta % 2 == 0}
+        message.update(private)
+    elif gap >= p.n21 and gap >= rp:
+        # top block, jam-covered; the jam lands in the next block down
+        message = set(range(1, gap + 1))
+    elif p.n21 >= rp:
+        # top block plus everything below the jam's landing zone; the
+        # weak ratio pushes jamming for the lower slice off the vector
+        message = set(range(1, gap + 1)) | set(range(2 * gap + 1, p.n11 + 1))
+    else:
+        message = set(private)
+    message = frozenset(message)
+    return Allocation(message, message.intersection(range(1, p.n2 + 1)))
 
 
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:

@@ -90,8 +90,6 @@ def _row(axis_value: Fraction, rates, ub: UpperBounds, norm_den: Fraction) -> Sw
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     values = spec.grid()
-    if not values:
-        raise ParameterError("sweep grid is empty")
     rows = []
     if spec.axis in GAUSS_AXES:
         other = "beta2" if spec.axis == "beta1" else "beta1"

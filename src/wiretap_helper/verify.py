@@ -34,6 +34,11 @@ from .scheme import (
     r_achievable,
 )
 
+# Schemes that verification decodes end to end through the channel, and the
+# random message/jam draws per scheme.
+ROUNDTRIP_SAMPLES = 25
+ROUNDTRIP_TRIALS = 50
+
 
 def leakage(s: LinearScheme) -> int:
     """Exact mutual information (bits) between the message and y2."""
@@ -179,8 +184,6 @@ def run_verification(
     max_q: int,
     with_oracle: bool = False,
     seed: int = 0,
-    roundtrip_samples: int = 25,
-    roundtrip_trials: int = 50,
 ) -> VerificationRun:
     """Check construction/formula agreement, exact secrecy, decodability,
     and converse consistency over every instance with q <= max_q.
@@ -217,7 +220,7 @@ def run_verification(
                 run.failures.append(f"{p}: constructed scheme leaks {leak} bits")
             if not decodable(s):
                 run.failures.append(f"{p}: constructed scheme is not decodable")
-            elif s.k and len(sampled) < roundtrip_samples and rng.random() < 0.02:
+            elif s.k and len(sampled) < ROUNDTRIP_SAMPLES and rng.random() < 0.02:
                 sampled.append(s)
         if with_oracle:
             rate, _w = oracle_best_rate(p)
@@ -235,7 +238,7 @@ def run_verification(
                     f"{p}: oracle reaches {rate}, formula gives {br.r_ach}"
                 )
     for s in sampled:
-        if not simulate_roundtrip(s, roundtrip_trials, seed):
+        if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):
             run.failures.append(f"{s.params}: roundtrip decoding failed")
     if run.schemes_checked == 0:
         run.failures.append(

@@ -32,7 +32,7 @@ class TestRates:
 
     def test_gaussian_strong_helper(self, capsys):
         code, out, _ = run_cli(
-            capsys, "rates", "--log-snr1", "40", "--beta1", "3", "--beta2", "1"
+            capsys, "gaussian", "--log-snr1", "40", "--beta1", "3", "--beta2", "1"
         )
         assert code == 0
         assert "r_ach: 40" in out
@@ -51,6 +51,18 @@ class TestRates:
         with pytest.raises(SystemExit) as exc:
             main(["rates", "--n11", "3", "--n21", "2", "--n2", "1", "--beta1", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--n11", "3", "--n21", "2", "--n2", "1", "--const-c", "5"],
+        ["rates", "--log-snr1", "40", "--beta1", "3", "--beta2", "1"],
+        ["gaussian", "--beta1", "3", "--beta2", "1", "--n11", "3"],
+    ], ids=["rates-const-c", "rates-gaussian-family", "gaussian-n11"])
+    def test_other_family_flag_is_usage_error(self, capsys, argv):
+        # each report takes only its own family's flags; none is ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_neither_family_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -166,6 +166,12 @@ class TestOddLevelSumBound:
                 lower = F(floor_l, 2) * (1 - b1) * log_snr1 - floor_l
                 assert odd_level_sum(g) >= float(lower) - 1e-9, (log_snr1, b1)
 
+    @pytest.mark.parametrize("b1", [F(3), F(3, 2)], ids=["above-two", "between-one-and-two"])
+    def test_no_power_levels_from_beta1_one_up(self, b1):
+        # beta1 = 3 gives no full level; it must fail like 1.5, not sum to 0
+        with pytest.raises(ParameterError):
+            odd_level_sum(GaussianParams(F(40), b1, F(1)))
+
 
 class TestNormalizedLimit:
     @pytest.mark.parametrize(

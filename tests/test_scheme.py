@@ -1,6 +1,7 @@
 """Rate formulas and the partition-aligned allocation construction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wiretap_helper import (
     Allocation,
@@ -16,7 +17,6 @@ from wiretap_helper import (
     phi1,
     phi2,
     r_achievable,
-    r_private,
     upper_bounds,
 )
 from wiretap_helper.verify import iter_instances
@@ -54,7 +54,7 @@ class TestRPrivate:
         "n11,n2,expected", [(10, 10, 0), (10, 6, 4), (4, 9, 0)]
     )
     def test_examples(self, n11, n2, expected):
-        assert r_private(ChannelParams(n11, 5, n2)) == expected
+        assert r_achievable(ChannelParams(n11, 5, n2)).r_private == expected
 
 
 class TestRAchievable:
@@ -90,7 +90,7 @@ class TestRAchievable:
     def test_rate_sandwich_on_grid(self):
         for p in iter_instances(12):
             br = r_achievable(p)
-            assert r_private(p) <= br.r_ach <= p.n11
+            assert br.r_private <= br.r_ach <= p.n11
             assert br.r_private >= 0 and br.r_common >= 0 and br.r_ach >= 0
             if br.case_tag is CaseTag.ALIGNED:
                 assert br.r_ach == br.r_private + br.r_common
@@ -165,6 +165,22 @@ class TestConstructAllocation:
                 if v <= p.n21 and 1 <= v + p.n11 - p.n21 <= p.n11
             }
             assert not landing & a.message_levels, p
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
+    def test_allocation_properties(self, n11, n21, n2):
+        p = ChannelParams(n11, n21, n2)
+        br = r_achievable(p)
+        if br.case_tag is CaseTag.SINGULAR:
+            with pytest.raises(SingularCaseError):
+                construct_allocation(p)
+            return
+        a = construct_allocation(p)
+        assert len(a.message_levels) == br.r_ach
+        assert a.jam_levels == a.message_levels & set(range(1, n2 + 1))
+        s = build_linear_scheme(a, p)
+        assert leakage(s) == 0
+        assert decodable(s)
 
 
 class TestBuildLinearScheme:
