@@ -67,7 +67,7 @@ def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool) -> None:
     sub.add_argument("--beta1", type=_rational, required=required, help="helper SNR exponent")
     sub.add_argument("--beta2", type=_rational, required=required,
                      help="eavesdropper SNR exponent")
-    sub.add_argument("--const-c", type=_rational, dest="const_c", default=Fraction(0),
+    sub.add_argument("--const-c", type=_rational, dest="const_c",
                      help="constant-gap term added to Gaussian bounds (default 0)")
 
 
@@ -150,7 +150,7 @@ def _cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     g = GaussianParams(_log_snr1(args, parser), args.beta1, args.beta2)
     gb = gaussian_rate(g)
     cp = correspondence(g)
-    ub = gaussian_upper_bounds(cp, args.const_c)
+    ub = gaussian_upper_bounds(cp, args.const_c or 0)
     print("family: gaussian")
     print(f"log_snr1={format_number(g.log_snr1)} beta1={format_number(g.beta1)} "
           f"beta2={format_number(g.beta2)}")
@@ -172,20 +172,18 @@ def _cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    fixed: dict[str, Fraction] = {}
-    for name in ("beta1", "beta2"):
-        v = getattr(args, name)
-        if v is not None and name != args.axis:
-            fixed[name] = v
-    for name in DET_AXES:
-        v = getattr(args, name)
-        if v is not None and name != args.axis:
-            fixed[name] = Fraction(v)
-    spec = SweepSpec(
-        axis=args.axis, start=args.start, stop=args.stop, step=args.step,
-        fixed=fixed, log_snr1=_log_snr1(args, parser), const_c=args.const_c,
-        asymptotic=args.asymptotic,
-    )
+    fixed = {a: Fraction(v) for a in DET_AXES + GAUSS_AXES if (v := getattr(args, a)) is not None}
+    if args.axis in GAUSS_AXES:
+        spec = SweepSpec(args.axis, args.start, args.stop, args.step, fixed,
+                         log_snr1=_log_snr1(args, parser), const_c=args.const_c or Fraction(0),
+                         asymptotic=args.asymptotic)
+    else:
+        for flag, given in (("--log-snr1", args.log_snr1 is not None),
+                            ("--const-c", args.const_c is not None),
+                            ("--asymptotic", args.asymptotic)):
+            if given:
+                parser.error(f"{flag} applies only to a sweep over beta1 or beta2")
+        spec = SweepSpec(args.axis, args.start, args.stop, args.step, fixed)
     rows = run_sweep(spec)
     try:
         fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")

@@ -3,7 +3,7 @@
 Gaussian sweeps plot the rate carried by the alignment structure,
 normalized by log2 SNR1; the constant per-level decoding penalty vanishes
 under that normalization in the high-SNR reading the curves illustrate.
-The single-instance report (`rates`) shows both the structure rate and
+The single-instance report (`gaussian`) shows both the structure rate and
 the penalized rate.  With `asymptotic` set, rows instead report the
 deterministic rate of the corresponding integer instance normalized by
 its direct gain.
@@ -12,12 +12,12 @@ its direct gain.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import IO
 
-from .bounds import UpperBounds, gaussian_upper_bounds, upper_bounds
+from .bounds import gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
 from .gaussian import GaussianParams, correspondence, gaussian_rate
 from .ldm import ChannelParams
@@ -27,12 +27,6 @@ DET_AXES = ("n11", "n21", "n2")
 GAUSS_AXES = ("beta1", "beta2")
 
 MAX_SWEEP_ROWS = 100_000
-
-CSV_COLUMNS = (
-    "axis_value", "r_ach", "r_private", "r_common",
-    "ub1", "ub2", "ub3", "min_ub",
-    "normalized_ach", "normalized_ub", "case_tag",
-)
 
 
 @dataclass(frozen=True)
@@ -72,63 +66,48 @@ class SweepRow:
     case_tag: str
 
 
-def _row(axis_value: Fraction, rates, ub: UpperBounds, norm_den: Fraction) -> SweepRow:
-    r_ach, r_priv, r_comm, tag = rates
-    if norm_den > 0:
-        norm_ach = Fraction(r_ach) / norm_den
-        norm_ub = ub.min_ub / norm_den
-    else:
-        norm_ach = norm_ub = Fraction(0)
-    return SweepRow(
-        axis_value=axis_value,
-        r_ach=Fraction(r_ach), r_private=Fraction(r_priv), r_common=Fraction(r_comm),
-        ub1=ub.ub1, ub2=ub.ub2, ub3=ub.ub3, min_ub=ub.min_ub,
-        normalized_ach=norm_ach, normalized_ub=norm_ub,
-        case_tag=tag.value,
-    )
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    values = spec.grid()
-    rows = []
-    if spec.axis in GAUSS_AXES:
-        other = "beta2" if spec.axis == "beta1" else "beta1"
-        if other not in spec.fixed:
-            raise ParameterError(f"sweep over {spec.axis} needs a fixed {other}")
-        for v in values:
-            betas = {spec.axis: v, other: spec.fixed[other]}
-            g = GaussianParams(spec.log_snr1, betas["beta1"], betas["beta2"])
-            cp = correspondence(g)
-            ub = gaussian_upper_bounds(cp, spec.const_c)
-            if spec.asymptotic:
-                det = r_achievable(cp)
-                rates = (det.r_ach, det.r_private, det.r_common, det.case_tag)
-                rows.append(_row(v, rates, ub, Fraction(cp.n11)))
-            else:
-                gb = gaussian_rate(g)
-                rates = (gb.r_gross, gb.r_private, gb.r_common, gb.case_tag)
-                rows.append(_row(v, rates, ub, spec.log_snr1))
-    elif spec.axis in DET_AXES:
-        missing = [a for a in DET_AXES if a != spec.axis and a not in spec.fixed]
-        if missing:
-            raise ParameterError(f"sweep over {spec.axis} needs fixed {missing}")
-        for v in values:
-            params = {spec.axis: v}
-            params.update({a: spec.fixed[a] for a in DET_AXES if a != spec.axis})
-            ints = {}
-            for name, val in params.items():
-                if val.denominator != 1 or val < 0:
-                    raise ParameterError(
-                        f"{name} grid values must be nonnegative integers, got {val}"
-                    )
-                ints[name] = int(val)
-            p = ChannelParams(**ints)
-            det = r_achievable(p)
-            ub = upper_bounds(p)
-            rates = (det.r_ach, det.r_private, det.r_common, det.case_tag)
-            rows.append(_row(v, rates, ub, Fraction(p.n11)))
-    else:
+    """One row per grid value of ``spec.axis``.
+
+    ``spec.fixed`` holds exactly the other axes of the swept family: the
+    two other gains of a deterministic sweep, the other beta of a Gaussian
+    one.  ``log_snr1``, ``const_c`` and ``asymptotic`` apply to Gaussian
+    sweeps only.
+    """
+    gaussian = spec.axis in GAUSS_AXES
+    if not gaussian and spec.axis not in DET_AXES:
         raise ParameterError(f"unknown sweep axis {spec.axis!r}")
+    wanted = set(GAUSS_AXES if gaussian else DET_AXES) - {spec.axis}
+    for name in sorted(wanted ^ set(spec.fixed)):
+        verb = "needs" if name in wanted else "takes no"
+        raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
+    rows = []
+    for v in spec.grid():
+        params = {**spec.fixed, spec.axis: v}
+        if gaussian:
+            g = GaussianParams(spec.log_snr1, params["beta1"], params["beta2"])
+            p = correspondence(g)
+            ub = gaussian_upper_bounds(p, spec.const_c)
+        else:
+            for name, x in params.items():
+                if x.denominator != 1:
+                    raise ParameterError(f"{name} must be an integer, got {x}")
+            p = ChannelParams(**{name: int(x) for name, x in params.items()})
+            ub = upper_bounds(p)
+        if gaussian and not spec.asymptotic:
+            br = gaussian_rate(g)
+            r_ach, norm = br.r_gross, spec.log_snr1
+        else:
+            br = r_achievable(p)
+            r_ach, norm = Fraction(br.r_ach), p.n11
+        rows.append(SweepRow(
+            axis_value=v, r_ach=r_ach,
+            r_private=Fraction(br.r_private), r_common=Fraction(br.r_common),
+            ub1=ub.ub1, ub2=ub.ub2, ub3=ub.ub3, min_ub=ub.min_ub,
+            normalized_ach=r_ach / norm if norm else Fraction(0),
+            normalized_ub=ub.min_ub / norm if norm else Fraction(0),
+            case_tag=br.case_tag.value,
+        ))
     return rows
 
 
@@ -143,12 +122,11 @@ def format_number(x: Fraction) -> str:
 
 
 def write_csv(rows: list[SweepRow], fh: IO[str]) -> None:
+    columns = [f.name for f in fields(SweepRow)]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(columns)
     for r in rows:
-        writer.writerow(
-            [format_number(getattr(r, c)) for c in CSV_COLUMNS[:-1]] + [r.case_tag]
-        )
+        writer.writerow([format_number(getattr(r, c)) for c in columns[:-1]] + [r.case_tag])
 
 
 def _svg_path(points: list[tuple[float, float]]) -> str:

@@ -52,46 +52,31 @@ def decodable(s: LinearScheme) -> bool:
     return _rank_of_int_columns(s.C + s.D) == s.k + _rank_of_int_columns(s.D)
 
 
-def _message_extractor(s: LinearScheme) -> list[int]:
-    """Row functionals e_j with e_j . C = unit_j and e_j . D = 0.
-
-    Solves the transposed system once; decoding is then k parity checks
-    on y1.  Requires a decodable scheme.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for j, col in enumerate(s.C + s.D):
-        rhs = (1 << j) if j < s.k else 0
-        while col:
-            h = col.bit_length() - 1
-            if h in pivots:
-                pc, pr = pivots[h]
-                col ^= pc
-                rhs ^= pr
-            else:
-                pivots[h] = (col, rhs)
-                break
-        if col == 0 and rhs != 0:
-            raise ContractError("no linear extractor exists; scheme is not decodable")
-    extractors = []
-    for j in range(s.k):
-        e = 0
-        for h in sorted(pivots):
-            col, rhs = pivots[h]
-            bit = ((rhs >> j) & 1) ^ (((col & ~(1 << h)) & e).bit_count() & 1)
-            if bit:
-                e |= 1 << h
-        extractors.append(e)
-    return extractors
-
-
 def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     """Encode random inputs, run them through the channel, decode, compare.
 
     End-to-end sanity via the channel map itself rather than rank algebra.
+    y1 is reduced against an echelon basis of the columns of [C | D]; each
+    basis vector records the inputs combined to make it, and the message
+    bits of the combined record are the decoded message.  A decodable
+    scheme's column dependencies involve jam inputs only, so the decoded
+    message does not depend on the basis.
     """
     if not decodable(s):
         raise ContractError("simulate_roundtrip requires a decodable scheme")
-    extractors = _message_extractor(s)
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, inputs)
+
+    def reduce(v: int, inputs: int) -> tuple[int, int]:
+        while v and (v.bit_length() - 1) in basis:
+            b, combined = basis[v.bit_length() - 1]
+            v, inputs = v ^ b, inputs ^ combined
+        return v, inputs
+
+    for j, col in enumerate(s.C + s.D):
+        v, inputs = reduce(col, 1 << j)
+        if v:
+            basis[v.bit_length() - 1] = (v, inputs)
+    message_mask = (1 << s.k) - 1
     rng = random.Random(seed)
     for _ in range(trials):
         w = rng.getrandbits(s.k) if s.k else 0
@@ -105,10 +90,9 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
             if (u >> j) & 1:
                 x2 |= 1 << (level - 1)
         y1, _y2 = ldm_channel(x1, x2, s.params)
-        decoded = 0
-        for j, e in enumerate(extractors):
-            decoded |= ((e & y1).bit_count() & 1) << j
-        if decoded != w:
+        # a residue is a y1 bit that no column of [C | D] reaches
+        residue, inputs = reduce(y1, 0)
+        if residue or inputs & message_mask != w:
             return False
     return True
 

@@ -162,6 +162,27 @@ class TestSweep:
                   "--step", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--beta1", "0.5"], "takes no fixed beta1"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--log-snr1", "7"], "--log-snr1"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--const-c", "0"], "--const-c"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--asymptotic"], "--asymptotic"),
+        (["--axis", "beta1", "--beta2", "1", "--n11", "99"], "takes no fixed n11"),
+        (["--axis", "n21", "--n11", "20", "--n2", "15", "--n21", "5"], "takes no fixed n21"),
+    ], ids=["beta1-on-n11", "log-snr1-on-n11", "const-c-on-n11", "asymptotic-on-n11",
+            "n11-on-beta1", "own-axis-flag"])
+    def test_flag_the_sweep_does_not_read_is_usage_error(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--start", "1", "--stop", "2", "--step", "1", *argv])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_extra_fixed_key_is_rejected(self):
+        spec = SweepSpec(axis="n11", start=F(1), stop=F(2), step=F(1),
+                         fixed={"n21": F(2), "n2": F(3), "beta1": F(1, 2)})
+        with pytest.raises(ParameterError, match="takes no fixed beta1"):
+            run_sweep(spec)
+
     def test_fractional_gain_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--axis", "n11", "--start", "1", "--stop", "2",
@@ -264,6 +285,13 @@ class TestEnvironmentPrecedence:
         code, out, _ = run_cli(capsys, "gaussian", "--beta1", "3", "--beta2", "1")
         assert code == 0
         assert "log_snr1=40" in out
+
+    def test_deterministic_sweep_ignores_log_snr1_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("WTH_DEFAULT_LOG_SNR1", "abc")
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "n11", "--start", "1", "--stop", "2",
+                               "--step", "1", "--n21", "2", "--n2", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 3
 
     @pytest.mark.parametrize("name,value,argv", [
         ("WTH_MAX_Q", "abc", ["verify"]),

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wiretap_helper import (
     CaseTag,
@@ -150,6 +151,19 @@ class TestGaussianRate:
     def test_common_sum_reported_below_one(self):
         assert gaussian_rate(gp(40, 0.75, 1)).r_common_sum is not None
         assert gaussian_rate(gp(40, 1.5, 1)).r_common_sum is None
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.integers(1, 64).flatmap(
+        lambda L: st.tuples(st.just(L), st.integers(0, 2 * L), st.integers(0, 2 * L))))
+    def test_integer_gains_match_the_deterministic_kernel(self, gains):
+        # log SNR1 = L and betas n21/L, n2/L give the deterministic gains exactly
+        L, n21, n2 = gains
+        g = GaussianParams(F(L), F(n21, L), F(n2, L))
+        p = ChannelParams(L, n21, n2)
+        gb, det = gaussian_rate(g), r_achievable(p)
+        assert (gb.r_private, gb.r_common, gb.case_tag) == (
+            det.r_private, det.r_common, det.case_tag)
+        assert correspondence(g) == p
 
 
 class TestOddLevelSumBound:

@@ -1,13 +1,18 @@
 """Byte-exact CLI outputs, pinned by the sha256 of stdout.
 
 Each digest was recorded from ``cli.main(argv)`` before the int-bitset and
-single-rate-kernel refactor; any change to a printed rate, bound, sweep row
+single-rate-kernel refactor (the n11, n2 and asymptotic beta2 sweeps before
+the merged sweep loop); any change to a printed rate, bound, sweep row
 or verification verdict changes it.  The three beta1 sweep jobs are the
 benchmark's figure jobs and carry the same digests as ``SWEEP_JOBS`` in
 ``perfbench/workloads.py``.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +63,14 @@ GOLDEN = {
         "714b409ef674c4a38142b3532be8f092d9d90eed2b3c8236cc9f1c1f26ce6c39",
     "sweep --axis n21 --start 0 --stop 40 --step 1 --n11 20 --n2 15":
         "6bfc711bf04e45ef4493a948cb91c367925a26c99e70a7b1686457512af81583",
+    # the n11 = 0 row has a zero normalizer
+    "sweep --axis n11 --start 0 --stop 24 --step 1 --n21 10 --n2 12":
+        "5b14faaf534cdd622cb0005b01673623533da5dd19d0fe5f624894845ceeec9e",
+    "sweep --axis n2 --start 0 --stop 30 --step 1 --n11 17 --n21 13":
+        "27d47c9f39e9217a0ee65da5ccdf8a9a96591023458be1c3245a6311dacf4c8c",
+    "sweep --axis beta2 --start 0 --stop 2 --step 0.05 --beta1 0.7 --log-snr1 33 "
+    "--const-c 1/2 --asymptotic":
+        "896f12817cec6f8c0c13eb0efd3c325042d5d5e03656a4de41c6fac7ca8de1ef",
     "verify --max-q 12 --seed 3":
         "9016d53237514519cd6ee072a4bd2860a0d7ceaaed69cbb4a558c469093e48a0",
     "verify --max-q 10 --oracle --seed 5":
@@ -72,3 +85,23 @@ def test_stdout_is_byte_identical(command, capsys, monkeypatch):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[command]
+
+
+def test_module_entry_point():
+    # ``python -m wiretap_helper.cli`` runs ``entry``, as the ``wth`` script does
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WTH_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+
+    def wth(*argv):
+        return subprocess.run([sys.executable, "-m", "wiretap_helper.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+
+    command = "rates --n11 10 --n21 8 --n2 10"
+    done = wth(*command.split())
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN[command]
+    stray = wth("sweep", "--axis", "n11", "--start", "1", "--stop", "2", "--step", "1",
+                "--n21", "2", "--n2", "3", "--asymptotic")
+    assert stray.returncode == 2
+    assert b"--asymptotic" in stray.stderr

@@ -126,6 +126,18 @@ class TestSimulateRoundtrip:
         with pytest.raises(ContractError):
             simulate_roundtrip(s, 5, 0)
 
+    @pytest.mark.parametrize("C,msg,jam", [
+        ((0b010, 0b001, 0b100), (1, 2, 3), ()),
+        ((0b001, 0b010), (1, 3), ()),
+        ((0b001,), (1,), (3,)),
+    ], ids=["columns-permuted-against-channel", "message-level-left-out-of-maps",
+            "jam-level-left-out-of-maps"])
+    def test_maps_that_miss_the_channel_fail(self, C, msg, jam):
+        # decodable by rank, but y1 from the channel is not what C and D describe
+        s = make_scheme(C, (0,) * len(jam), C, (), msg=msg, jam=jam)
+        assert decodable(s)
+        assert not simulate_roundtrip(s, 50, seed=0)
+
     def test_same_seed_same_outcome(self):
         p = ChannelParams(9, 7, 9)
         s = build_linear_scheme(construct_allocation(p), p)
