@@ -92,11 +92,20 @@ def _log2_1p_exp2(e: float) -> float:
     return math.log1p(2.0**e) / math.log(2)
 
 
+def _edge(g: GaussianParams, level: int) -> float:
+    """log2 of the received power at the bottom of ``level`` (0: the top)."""
+    try:
+        return float(g.log_snr1 * (1 - level * (1 - g.beta1)))
+    except OverflowError:
+        raise ParameterError("log_snr1 is too large for the per-level float bounds") from None
+
+
 def _log2_theta(g: GaussianParams, level: int) -> float:
-    hi = float(g.log_snr1 * (1 - (level - 1) * (1 - g.beta1)))
-    lo = float(g.log_snr1 * (1 - level * (1 - g.beta1)))
-    # log2(2^hi - 2^lo) = hi + log2(1 - 2^(lo - hi)); lo < hi always
-    return hi + math.log1p(-(2.0 ** (lo - hi))) / math.log(2)
+    hi, lo = _edge(g, level - 1), _edge(g, level)
+    # log2(2^hi - 2^lo) = hi + log2(1 - 2^(lo - hi)); lo < hi always.  A ratio
+    # that rounds to 1 means a level under one bit wide, whose bound is < 0.
+    ratio = 2.0 ** (lo - hi)
+    return hi + math.log1p(-ratio) / math.log(2) if ratio < 1 else -math.inf
 
 
 def level_rate(g: GaussianParams, level: int) -> float:
@@ -105,8 +114,7 @@ def level_rate(g: GaussianParams, level: int) -> float:
         raise ParameterError("power levels require beta1 < 1")
     if not 1 <= level <= math.ceil(g.l_max):
         raise ParameterError(f"level {level} out of range 1..{math.ceil(g.l_max)}")
-    lo = float(g.log_snr1 * (1 - level * (1 - g.beta1)))
-    noise = _log2_1p_exp2(1.0 + lo)
+    noise = _log2_1p_exp2(1.0 + _edge(g, level))
     return max(0.0, _log2_theta(g, level) - noise)
 
 

@@ -7,14 +7,14 @@ as a downward shift by q - n levels: bits shifted past level q fall below
 the noise floor and are truncated, vacated top levels are zero.
 Superposition is carry-free XOR per level.
 
-Linear encoding/observation maps are tuples of such ints, one per column;
-their rank is computed by Gaussian elimination on the bitsets.
+Level sets are bitsets in the same convention, and linear maps are tuples
+of them, one per column, whose rank is found by Gaussian elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParameterError
 
@@ -44,6 +44,18 @@ class ChannelParams:
         return abs(self.n11 - self.n21)
 
 
+def ones(n: int) -> int:
+    """Bitset of levels 1..n."""
+    return (1 << n) - 1
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of a bitset as single-bit ints, from level 1 down."""
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
+
+
 def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
     """One deterministic channel use on length-q bitsets: returns (y1, y2).
 
@@ -53,9 +65,8 @@ def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
     q = p.q
     if x1 < 0 or x2 < 0 or (x1 | x2) >> q:
         raise ParameterError(f"channel inputs must be bitsets of length q={q}")
-    mask = (1 << q) - 1
-    y1 = ((x1 << (q - p.n11)) ^ (x2 << (q - p.n21))) & mask
-    y2 = ((x1 ^ x2) << (q - p.n2)) & mask
+    y1 = ((x1 << (q - p.n11)) ^ (x2 << (q - p.n21))) & ones(q)
+    y2 = ((x1 ^ x2) << (q - p.n2)) & ones(q)
     return y1, y2
 
 

@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularCaseError
-from .ldm import ChannelParams
+from .ldm import ChannelParams, bits, ones
 
 
 class CaseTag(enum.Enum):
@@ -44,12 +44,13 @@ class RateBreakdown:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Level sets realizing a rate: message levels of the user signal
-    (1..n11, counted from the top of the received signal) and jam levels
-    of the helper signal as seen at the eavesdropper (1..n2)."""
+    """Level sets realizing a rate, as bitsets in ``ldm``'s convention (bit
+    i is level i + 1): message levels of the user signal (1..n11, counted
+    from the top of the received signal) and jam levels of the helper
+    signal as seen at the eavesdropper (1..n2)."""
 
-    message_levels: frozenset[int]
-    jam_levels: frozenset[int]
+    message: int
+    jam: int
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ class LinearScheme:
     B: tuple[int, ...]
     C: tuple[int, ...]
     D: tuple[int, ...]
-    message_levels: tuple[int, ...]
-    jam_levels: tuple[int, ...]
+    allocation: Allocation
     params: ChannelParams
 
     @property
@@ -152,49 +152,39 @@ def construct_allocation(p: ChannelParams) -> Allocation:
         )
     n_common = p.n11 - rp
     gap = p.n11 - p.n21
-    private = range(n_common + 1, p.n11 + 1)
+    private = ones(p.n11) & ~ones(n_common)
     if tag is CaseTag.STRONG_HELPER:
-        message = set(range(1, p.n11 + 1))
+        message = ones(p.n11)
     elif tag is CaseTag.ALIGNED:
         # every second delta-partition of the common levels, from the top;
         # jamming lands one partition below at the receiver, so in the phi1
         # branch the partition next to the private part is its landing zone
         delta = p.delta
-        top = n_common - delta if _uses_phi1(p.n11, p.n21, p.n2) else n_common
-        message = {v for v in range(1, top + 1) if (v - 1) // delta % 2 == 0}
-        message.update(private)
-    elif gap >= p.n21 and gap >= rp:
-        # top block, jam-covered; the jam lands in the next block down
-        message = set(range(1, gap + 1))
-    elif p.n21 >= rp:
-        # top block plus everything below the jam's landing zone; the
-        # weak ratio pushes jamming for the lower slice off the vector
-        message = set(range(1, gap + 1)) | set(range(2 * gap + 1, p.n11 + 1))
+        top = max(n_common - delta, 0) if _uses_phi1(p.n11, p.n21, p.n2) else n_common
+        message = sum(ones(delta) << b for b in range(0, top, 2 * delta)) & ones(top) | private
+    elif max(gap, p.n21) >= rp:
+        # top block, jam-covered, plus everything below the jam's landing zone
+        # (the next block down), which is empty when gap >= n21
+        message = ones(gap) | ones(p.n11) & ~ones(2 * gap)
     else:
-        message = set(private)
-    message = frozenset(message)
-    return Allocation(message, message.intersection(range(1, p.n2 + 1)))
+        message = private
+    return Allocation(message, message & ones(p.n2))
 
 
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
-    """Compile an allocation into the four channel-induced GF(2) maps."""
-    msg = tuple(sorted(a.message_levels))
-    jam = tuple(sorted(a.jam_levels))
-    if any(not 1 <= u <= p.n11 for u in msg):
-        raise ParameterError(f"message level out of range 1..{p.n11}: {msg}")
-    if any(not 1 <= v <= p.n2 for v in jam):
-        raise ParameterError(f"jam level out of range 1..{p.n2}: {jam}")
-    q = p.q
-
-    def unit(pos: int) -> int:
-        return 1 << (pos - 1) if 1 <= pos <= q else 0
-
+    """Compile an allocation into the four channel-induced GF(2) maps: one
+    column per set bit of a level mask, shifted down by q - gain and
+    truncated at q (a level below the noise floor gives a zero column)."""
+    for name, mask, gain in (("message", a.message, p.n11), ("jam", a.jam, p.n2)):
+        if mask < 0 or mask >> gain:
+            raise ParameterError(f"{name} levels {mask:#b} out of range 1..{gain}")
+    q, full = p.q, ones(p.q)
+    msg, jam = list(bits(a.message)), list(bits(a.jam))
     return LinearScheme(
-        A=tuple(unit(u + q - p.n2) for u in msg),
-        B=tuple(unit(v + q - p.n2) for v in jam),
-        C=tuple(unit(u + q - p.n11) for u in msg),
-        D=tuple(unit(v + q - p.n21) for v in jam),
-        message_levels=msg,
-        jam_levels=jam,
+        A=tuple(b << q - p.n2 & full for b in msg),
+        B=tuple(b << q - p.n2 & full for b in jam),
+        C=tuple(b << q - p.n11 & full for b in msg),
+        D=tuple(b << q - p.n21 & full for b in jam),
+        allocation=a,
         params=p,
     )

@@ -112,11 +112,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def format_number(x: Fraction) -> str:
-    """Integers bare; everything else with exactly six decimal places."""
+    """Integers bare; everything else rounded half-even to six decimal places."""
     if x.denominator == 1:
         return str(x.numerator)
     with localcontext() as ctx:
-        ctx.prec = 50
+        # over 7 digits beyond the numerator's keep the quotient closer to x than
+        # x is to any six-decimal half-way point (>= 1 / (2e6 * denominator))
+        ctx.prec = 50 + x.numerator.bit_length() // 3
         d = Decimal(x.numerator) / Decimal(x.denominator)
         return str(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 

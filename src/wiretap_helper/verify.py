@@ -19,20 +19,15 @@ independently of the partition construction.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from .bounds import upper_bounds
 from .errors import ContractError
-from .ldm import ChannelParams, _rank_of_int_columns, ldm_channel
-from .scheme import (
-    Allocation,
-    CaseTag,
-    LinearScheme,
-    build_linear_scheme,
-    construct_allocation,
-    r_achievable,
-)
+from .ldm import ChannelParams, _rank_of_int_columns, bits, ldm_channel, ones
+from .scheme import (Allocation, CaseTag, LinearScheme, build_linear_scheme,
+                     construct_allocation, r_achievable)
 
 # Schemes that verification decodes end to end through the channel, and the
 # random message/jam draws per scheme.
@@ -55,8 +50,9 @@ def decodable(s: LinearScheme) -> bool:
 def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     """Encode random inputs, run them through the channel, decode, compare.
 
-    End-to-end sanity via the channel map itself rather than rank algebra.
-    y1 is reduced against an echelon basis of the columns of [C | D]; each
+    End-to-end sanity via the channel map itself rather than rank algebra:
+    input bit j goes on the j-th set level of its allocation mask, and y1 is
+    reduced against an echelon basis of the columns of [C | D]; each
     basis vector records the inputs combined to make it, and the message
     bits of the combined record are the decoded message.  A decodable
     scheme's column dependencies involve jam inputs only, so the decoded
@@ -76,23 +72,17 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         v, inputs = reduce(col, 1 << j)
         if v:
             basis[v.bit_length() - 1] = (v, inputs)
-    message_mask = (1 << s.k) - 1
+    msg, jam = list(bits(s.allocation.message)), list(bits(s.allocation.jam))
     rng = random.Random(seed)
     for _ in range(trials):
         w = rng.getrandbits(s.k) if s.k else 0
         u = rng.getrandbits(s.m) if s.m else 0
-        x1 = 0
-        for j, level in enumerate(s.message_levels):
-            if (w >> j) & 1:
-                x1 |= 1 << (level - 1)
-        x2 = 0
-        for j, level in enumerate(s.jam_levels):
-            if (u >> j) & 1:
-                x2 |= 1 << (level - 1)
+        x1 = sum(b for j, b in enumerate(msg) if w >> j & 1)
+        x2 = sum(b for j, b in enumerate(jam) if u >> j & 1)
         y1, _y2 = ldm_channel(x1, x2, s.params)
         # a residue is a y1 bit that no column of [C | D] reaches
         residue, inputs = reduce(y1, 0)
-        if residue or inputs & message_mask != w:
+        if residue or inputs & ones(s.k) != w:
             return False
     return True
 
@@ -115,7 +105,7 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     def usable(i: int, cover: int, landing: int) -> bool:
         return 1 <= i <= n11 and (cover or i > n2) and not (landing and i - d <= n21)
 
-    jam: set[int] = set()
+    jam = 0
     for first in range(1, stride + 1):
         chain = range(first, n11 + max(0, -d) + 1, stride)
         score, back = [0, -1], []  # best count so far, by the last jam bit
@@ -133,19 +123,18 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
             back.append(arg)
         x = score.index(max(score))
         for t, arg in zip(reversed(chain), reversed(back)):
-            if x:
-                jam.add(t)
+            jam |= x << t - 1
             x = arg[x]
-    message = frozenset(i for i in range(1, n11 + 1) if usable(i, i in jam, i - d in jam))
-    return len(message), Allocation(message, frozenset(jam & message))
+    # usable levels: covered at y2 and not hit by a jam bit heard at y1
+    landing = (jam & ones(n21)) << p.q - n21 >> p.q - n11
+    message = ones(n11) & (jam | ~ones(n2)) & ~landing
+    return message.bit_count(), Allocation(message, jam & message)
 
 
 def iter_instances(max_q: int):
     """All gain triples whose ambient length is at most max_q."""
-    for n11 in range(max_q + 1):
-        for n21 in range(max_q + 1):
-            for n2 in range(max_q + 1):
-                yield ChannelParams(n11, n21, n2)
+    for n11, n21, n2 in itertools.product(range(max_q + 1), repeat=3):
+        yield ChannelParams(n11, n21, n2)
 
 
 @dataclass
@@ -194,9 +183,9 @@ def run_verification(
             alloc = construct_allocation(p)
             s = build_linear_scheme(alloc, p)
             run.schemes_checked += 1
-            if len(alloc.message_levels) != br.r_ach:
+            if alloc.message.bit_count() != br.r_ach:
                 run.failures.append(
-                    f"{p}: construction carries {len(alloc.message_levels)} bits, "
+                    f"{p}: construction carries {alloc.message.bit_count()} bits, "
                     f"formula says {br.r_ach}"
                 )
             leak = leakage(s)

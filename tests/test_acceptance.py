@@ -16,6 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from wiretap_helper import (
+    Allocation,
     CaseTag,
     ChannelParams,
     GaussianParams,
@@ -62,7 +63,7 @@ def test_criterion_1_tight_instance():
     assert ub.min_ub == 6
     # cross-checks: partition formula and construction bit count
     assert phi2(10, 2) == 6
-    assert len(construct_allocation(p).message_levels) == 6
+    assert construct_allocation(p).message.bit_count() == 6
     report(1, "tight instance (10,8,10)")
 
 
@@ -74,7 +75,7 @@ def test_criterion_2_exact_secrecy_and_decodability_q24():
             continue
         alloc = construct_allocation(p)
         s = build_linear_scheme(alloc, p)
-        assert len(alloc.message_levels) == br.r_ach, p
+        assert alloc.message.bit_count() == br.r_ach, p
         assert leakage(s) == 0, p
         assert decodable(s), p
         checked += 1
@@ -112,7 +113,7 @@ def test_criterion_5_rank_identity_vs_enumeration():
         m = rng.randint(0, min(6, 10 - k))
         A = tuple(rng.getrandbits(q) for _ in range(k))
         B = tuple(rng.getrandbits(q) for _ in range(m))
-        s = LinearScheme(A=A, B=B, C=A, D=B, message_levels=(), jam_levels=(),
+        s = LinearScheme(A=A, B=B, C=A, D=B, allocation=Allocation(0, 0),
                          params=ChannelParams(q, q, q))
         joint = Counter()
         marginal = Counter()

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wiretap_helper import ParameterError, SweepSpec, run_sweep, sweep
 from wiretap_helper.cli import main
@@ -83,6 +84,33 @@ class TestRates:
         with pytest.raises(SystemExit) as exc:
             main(["gaussian", *flags])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("log_snr1", ["1e-17", "1e-400"])
+    def test_levels_below_float_resolution_rate_zero(self, capsys, log_snr1):
+        # each power level is far narrower than one bit, so its bound is 0
+        code, out, _ = run_cli(capsys, "gaussian", "--log-snr1", log_snr1,
+                               "--beta1", "0.5", "--beta2", "1")
+        assert code == 0
+        assert "r_common_sum: 0.000000" in out
+
+    def test_log_snr1_beyond_float_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gaussian", "--log-snr1", "1e400", "--beta1", "0.5", "--beta2", "1"])
+        assert exc.value.code == 2
+        assert "log_snr1" in capsys.readouterr().err
+
+    def test_exact_report_takes_log_snr1_beyond_float_range(self, capsys):
+        # beta1 >= 1 has no per-level float bounds
+        code, out, _ = run_cli(capsys, "gaussian", "--log-snr1", "1e400",
+                               "--beta1", "1.5", "--beta2", "1")
+        assert code == 0
+        assert f"ub2: 1{'0' * 400}\n" in out
+
+    def test_huge_non_integer_values_keep_six_decimals(self, capsys):
+        code, out, _ = run_cli(capsys, "gaussian", "--log-snr1", f"1{'0' * 50}1/3",
+                               "--beta1", "1.5", "--beta2", "1")
+        assert code == 0
+        assert f"log_snr1={'3' * 51}.666667 " in out
 
     def test_const_c_shifts_bounds(self, capsys):
         code, out, _ = run_cli(
@@ -220,6 +248,60 @@ class TestSweep:
         assert code == 0
         row = out.splitlines()[1].split(",")
         assert row[1] == "20"  # deterministic rate of (40, 20, 40)
+
+
+    @pytest.mark.parametrize("log_snr1,extra,code", [
+        ("1e-400", [], 0),
+        ("1e400", ["--asymptotic"], 0),
+        ("1e400", [], 2),
+    ], ids=["tiny", "huge-asymptotic", "huge"])
+    def test_beta_sweep_at_the_float_range_edges(self, capsys, log_snr1, extra, code):
+        argv = ["sweep", "--axis", "beta1", "--start", "0.5", "--stop", "0.6",
+                "--step", "0.05", "--beta2", "1", "--log-snr1", log_snr1, *extra]
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "log_snr1" in capsys.readouterr().err
+        else:
+            assert run_cli(capsys, *argv)[0] == 0
+
+
+def six_decimals(x):
+    """Reference: exact half-even rounding of a Fraction to six decimals."""
+    n = round(x * 10**6)
+    return f"{'-' if x < 0 else ''}{abs(n) // 10**6}.{abs(n) % 10**6:06d}"
+
+
+class TestFormatNumber:
+    @pytest.mark.parametrize("x,text", [
+        (F(5, 10**7), "0.000000"),
+        (F(15, 10**7), "0.000002"),
+        (F(5, 10**7) + F(1, 10**60), "0.000001"),
+        (-F(1, 3), "-0.333333"),
+        (F(10**60 + 1, 3), f"{'3' * 60}.666667"),
+    ], ids=["half-to-even-down", "half-to-even-up", "just-above-half",
+            "negative", "61-digit-whole-part"])
+    def test_examples(self, x, text):
+        assert sweep.format_number(x) == text == six_decimals(x)
+
+    def test_integers_are_bare(self):
+        assert sweep.format_number(F(10**70)) == "1" + "0" * 70
+
+    @settings(derandomize=True, max_examples=500, database=None, deadline=None)
+    @given(st.integers(-10**90, 10**90), st.integers(2, 10**70))
+    def test_matches_exact_rounding(self, num, den):
+        x = F(num, den)
+        if x.denominator > 1:
+            assert sweep.format_number(x) == six_decimals(x)
+
+    @settings(derandomize=True, max_examples=200, database=None, deadline=None)
+    @given(st.integers(-10**80, 10**80), st.integers(1, 10**40))
+    def test_exact_halves_and_near_halves(self, k, eps_den):
+        half = F(2 * k + 1, 2 * 10**6)
+        for x in (half, half + F(1, eps_den * 10**7), half - F(1, eps_den * 10**7)):
+            if x.denominator > 1:
+                assert sweep.format_number(x) == six_decimals(x)
 
 
 class TestVerifyCommand:

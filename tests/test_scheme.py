@@ -22,6 +22,11 @@ from wiretap_helper import (
 from wiretap_helper.verify import iter_instances
 
 
+def mask(*levels):
+    """Level bitset: bit i holds level i + 1."""
+    return sum(1 << (level - 1) for level in set(levels))
+
+
 class TestLFunc:
     @pytest.mark.parametrize("p,q,expected", [(10, 4, 2), (10, 0, 0), (0, 7, 0)])
     def test_examples(self, p, q, expected):
@@ -128,18 +133,16 @@ class TestRAchievable:
 class TestConstructAllocation:
     def test_aligned_odd_partitions(self):
         a = construct_allocation(ChannelParams(10, 8, 10))
-        assert sorted(a.message_levels) == [1, 2, 5, 6, 9, 10]
-        assert sorted(a.jam_levels) == [1, 2, 5, 6, 9, 10]
+        assert a.message == a.jam == mask(1, 2, 5, 6, 9, 10)
 
     def test_strong_helper_uses_top_levels(self):
         a = construct_allocation(ChannelParams(4, 8, 4))
-        assert sorted(a.message_levels) == [1, 2, 3, 4]
-        assert sorted(a.jam_levels) == [1, 2, 3, 4]
+        assert a.message == a.jam == mask(1, 2, 3, 4)
 
     def test_weak_helper_jamming_winner_is_two_slices(self):
         a = construct_allocation(ChannelParams(10, 6, 10))
-        assert sorted(a.message_levels) == [1, 2, 3, 4, 9, 10]
-        assert len(a.message_levels) == 6
+        assert a.message == mask(1, 2, 3, 4, 9, 10)
+        assert a.message.bit_count() == 6
 
     def test_singular_raises(self):
         with pytest.raises(SingularCaseError):
@@ -151,7 +154,7 @@ class TestConstructAllocation:
             if br.case_tag is CaseTag.SINGULAR:
                 continue
             a = construct_allocation(p)
-            assert len(a.message_levels) == br.r_ach, p
+            assert a.message.bit_count() == br.r_ach, p
 
     def test_jam_never_lands_on_message_levels(self):
         # the delta offset pushes every audible jam bit onto unused levels
@@ -161,10 +164,10 @@ class TestConstructAllocation:
             a = construct_allocation(p)
             landing = {
                 v + p.n11 - p.n21
-                for v in a.jam_levels
-                if v <= p.n21 and 1 <= v + p.n11 - p.n21 <= p.n11
+                for v in range(1, p.n2 + 1)
+                if a.jam >> (v - 1) & 1 and v <= p.n21 and 1 <= v + p.n11 - p.n21 <= p.n11
             }
-            assert not landing & a.message_levels, p
+            assert not mask(*landing) & a.message, p
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
     @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
@@ -176,8 +179,8 @@ class TestConstructAllocation:
                 construct_allocation(p)
             return
         a = construct_allocation(p)
-        assert len(a.message_levels) == br.r_ach
-        assert a.jam_levels == a.message_levels & set(range(1, n2 + 1))
+        assert a.message.bit_count() == br.r_ach
+        assert a.jam == a.message & mask(*range(1, n2 + 1))
         s = build_linear_scheme(a, p)
         assert leakage(s) == 0
         assert decodable(s)
@@ -186,7 +189,7 @@ class TestConstructAllocation:
 class TestBuildLinearScheme:
     def test_empty_allocation(self):
         p = ChannelParams(5, 3, 4)
-        s = build_linear_scheme(Allocation(frozenset(), frozenset()), p)
+        s = build_linear_scheme(Allocation(0, 0), p)
         assert s.k == 0 and s.m == 0
         assert s.A == s.B == s.C == s.D == ()
 
@@ -199,9 +202,7 @@ class TestBuildLinearScheme:
 
     def test_private_only_message_vanishes_at_eavesdropper(self):
         p = ChannelParams(10, 2, 6)
-        s = build_linear_scheme(
-            Allocation(frozenset({7, 8, 9, 10}), frozenset()), p
-        )
+        s = build_linear_scheme(Allocation(mask(7, 8, 9, 10), 0), p)
         assert s.k == 4 and s.m == 0
         assert all(c == 0 for c in s.A)
         assert leakage(s) == 0 and decodable(s)
@@ -209,16 +210,19 @@ class TestBuildLinearScheme:
     def test_out_of_range_levels_rejected(self):
         p = ChannelParams(5, 3, 4)
         with pytest.raises(ParameterError):
-            build_linear_scheme(Allocation(frozenset({6}), frozenset()), p)
+            build_linear_scheme(Allocation(mask(6), 0), p)
         with pytest.raises(ParameterError):
-            build_linear_scheme(Allocation(frozenset({1}), frozenset({5})), p)
+            build_linear_scheme(Allocation(mask(1), mask(5)), p)
+        with pytest.raises(ParameterError):
+            build_linear_scheme(Allocation(-1, 0), p)
+        with pytest.raises(ParameterError):
+            build_linear_scheme(Allocation(0, -2), p)
 
     def test_column_order_follows_level_order(self):
         p = ChannelParams(4, 2, 4)
-        s = build_linear_scheme(
-            Allocation(frozenset({3, 1}), frozenset({2})), p
-        )
-        assert s.message_levels == (1, 3)
+        a = Allocation(mask(3, 1), mask(2))
+        s = build_linear_scheme(a, p)
+        assert s.allocation == a
         assert s.C == (1 << 0, 1 << 2)
 
 
@@ -250,7 +254,7 @@ class TestSchemeMatricesMatchChannel:
                 continue
             msg = sorted(rng.sample(range(1, p.n11 + 1), rng.randint(0, p.n11)))
             jam = sorted(rng.sample(range(1, p.n2 + 1), rng.randint(0, p.n2))) if p.n2 else []
-            s = build_linear_scheme(Allocation(frozenset(msg), frozenset(jam)), p)
+            s = build_linear_scheme(Allocation(mask(*msg), mask(*jam)), p)
             w = rng.getrandbits(s.k) if s.k else 0
             u = rng.getrandbits(s.m) if s.m else 0
             x1 = sum(1 << (lvl - 1) for j, lvl in enumerate(msg) if (w >> j) & 1)

@@ -31,10 +31,16 @@ from wiretap_helper.verify import iter_instances
 I3 = (0b001, 0b010, 0b100)  # identity map on q = 3 levels
 
 
+def mask(*levels):
+    """Level bitset: bit i holds level i + 1."""
+    return sum(1 << (level - 1) for level in set(levels))
+
+
 def make_scheme(A, B, C, D, p=None, msg=(), jam=()):
-    """Scheme from column tuples; the default instance has q = 3."""
+    """Scheme from column tuples and allocated levels; the default
+    instance has q = 3."""
     return LinearScheme(
-        A=A, B=B, C=C, D=D, message_levels=tuple(msg), jam_levels=tuple(jam),
+        A=A, B=B, C=C, D=D, allocation=Allocation(mask(*msg), mask(*jam)),
         params=p or ChannelParams(3, 3, 3),
     )
 
@@ -109,7 +115,7 @@ class TestDecodable:
 class TestSimulateRoundtrip:
     def test_empty_scheme_vacuously_true(self):
         p = ChannelParams(3, 1, 2)
-        s = build_linear_scheme(Allocation(frozenset(), frozenset()), p)
+        s = build_linear_scheme(Allocation(0, 0), p)
         assert simulate_roundtrip(s, 10, 0)
 
     @pytest.mark.parametrize(
@@ -153,20 +159,33 @@ def naive_oracle(p):
     ):
         for r in range(p.n2 + 1):
             for jam in itertools.combinations(range(1, p.n2 + 1), r):
-                s = build_linear_scheme(
-                    Allocation(frozenset(msg), frozenset(jam)), p
-                )
+                s = build_linear_scheme(Allocation(mask(*msg), mask(*jam)), p)
                 if leakage(s) == 0 and decodable(s) and s.k > best:
                     best = s.k
     return best
 
 
+def usable_levels(p, jam):
+    """Message levels a jam bitset allows, level by level: level i must be
+    invisible to the eavesdropper (i > n2) or covered by jam bit i, and no
+    jam bit heard at the legitimate receiver (v <= n21) may land on it
+    there (at i = v + n11 - n21)."""
+    def jammed(v):
+        return 1 <= v <= p.n2 and jam >> (v - 1) & 1
+
+    return mask(*(
+        i for i in range(1, p.n11 + 1)
+        if (i > p.n2 or jammed(i))
+        and not (i - (p.n11 - p.n21) <= p.n21 and jammed(i - (p.n11 - p.n21)))
+    ))
+
+
 def enumerated_oracle(p):
     """Reference search over every jam subset of the helper's levels as seen
     at the eavesdropper, 2^n2 per instance.  For a fixed jam set the
-    eligibility of each message level is independent: it must be invisible
-    to the eavesdropper or covered by the jam, and it must not sit where a
-    jam bit lands at the legitimate receiver."""
+    eligibility of each message level is independent, so the search scores
+    each jam set with shifted masks; the witness is read off the best one
+    level by level with ``usable_levels``."""
     n11, n21, n2 = p.n11, p.n21, p.n2
     full11 = (1 << n11) - 1
     vis_at_y2 = (1 << min(n11, n2)) - 1
@@ -174,23 +193,21 @@ def enumerated_oracle(p):
     vis_at_y1 = (1 << min(n2, n21)) - 1
     offset = n11 - n21
     best = -1
-    best_message = 0
     best_jam = 0
     for jam_mask in range(1 << n2):
         heard = jam_mask & vis_at_y1
         landing = (heard << offset) if offset >= 0 else (heard >> -offset)
-        allowed = ~landing & (invisible | (jam_mask & vis_at_y2)) & full11
-        count = allowed.bit_count()
+        count = (~landing & (invisible | (jam_mask & vis_at_y2)) & full11).bit_count()
         if count > best:
-            best = count
-            best_message = allowed
-            best_jam = jam_mask & allowed & vis_at_y2
-    message = frozenset(i + 1 for i in range(n11) if (best_message >> i) & 1)
-    jam = frozenset(i + 1 for i in range(n2) if (best_jam >> i) & 1)
-    return best, Allocation(message, jam)
+            best, best_jam = count, jam_mask
+    message = usable_levels(p, best_jam)
+    assert message.bit_count() == best, p
+    return best, Allocation(message, best_jam & message)
 
 
 def assert_witness_verifies(p, rate, witness):
+    # the oracle's closed-form witness is what the per-level rule allows
+    assert witness.message == usable_levels(p, witness.jam), p
     s = build_linear_scheme(witness, p)
     assert leakage(s) == 0, p
     assert decodable(s), p
