@@ -30,17 +30,19 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
+def _doubled_bounds(n11: int, n21: int, n2: int) -> tuple[int, int, int]:
+    """Twice the three converse bounds of a gain triple, as integers."""
+    rp = _pos(n11 - n2)
+    return (
+        rp + max(n11, n21) + _pos(n2 - n21),
+        2 * n11,
+        2 * (n21 + _pos(n11 - n21 - n2) + _pos(n2 - n21 - _pos(n2 - n11 + n21))),
+    )
+
+
 def upper_bounds(p: ChannelParams) -> UpperBounds:
     """Evaluate the three converse bounds for a deterministic instance."""
-    rp = _pos(p.n11 - p.n2)
-    ub1 = rp + Fraction(max(p.n11, p.n21) - rp, 2) + Fraction(_pos(p.n2 - p.n21), 2)
-    ub2 = Fraction(p.n11)
-    ub3 = Fraction(
-        p.n21
-        + _pos(p.n11 - p.n21 - p.n2)
-        + _pos(p.n2 - p.n21 - _pos(p.n2 - p.n11 + p.n21))
-    )
-    return UpperBounds(ub1, ub2, ub3)
+    return UpperBounds(*(Fraction(x, 2) for x in _doubled_bounds(p.n11, p.n21, p.n2)))
 
 
 def gaussian_upper_bounds(p: ChannelParams, c: Fraction | int = 0) -> UpperBounds:
@@ -48,5 +50,4 @@ def gaussian_upper_bounds(p: ChannelParams, c: Fraction | int = 0) -> UpperBound
     c = Fraction(c)
     if c < 0:
         raise ParameterError("the gap constant c must be nonnegative")
-    det = upper_bounds(p)
-    return UpperBounds(det.ub1 + c, det.ub2 + c, det.ub3 + c)
+    return UpperBounds(*(Fraction(x, 2) + c for x in _doubled_bounds(p.n11, p.n21, p.n2)))

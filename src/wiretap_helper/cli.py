@@ -8,6 +8,7 @@ variables, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from fractions import Fraction
@@ -161,12 +162,12 @@ def _cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     print(f"r_private: {_fmt(gb.r_private)}")
     print(f"r_common: {_fmt(gb.r_common)}")
     print(f"r_gross: {_fmt(gb.r_gross)}")
-    print(f"level_penalty: {gb.d}")
+    print(f"level_penalty: {_fmt(gb.d)}")
     print(f"r_ach: {_fmt(gb.r_ach)}")
     print(f"normalized: {format_number(gb.normalized)}")
     if gb.r_common_sum is not None:
         print(f"r_common_sum: {gb.r_common_sum:.6f}")
-    print(f"correspondence: n11={cp.n11} n21={cp.n21} n2={cp.n2}")
+    print(f"correspondence: n11={_fmt(cp.n11)} n21={_fmt(cp.n21)} n2={_fmt(cp.n2)}")
     _print_bound_block(ub, gb.r_ach)
     return 0
 
@@ -184,17 +185,27 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             if given:
                 parser.error(f"{flag} applies only to a sweep over beta1 or beta2")
         spec = SweepSpec(args.axis, args.start, args.stop, args.step, fixed)
-    rows = run_sweep(spec)
+    # opened before any row is built, so that a bad path fails at once; "a" truncates
+    # nothing, and a file created here is removed again on a usage error
+    created = args.out != "-" and not os.path.lexists(args.out)
     try:
-        fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+        fh = sys.stdout if args.out == "-" else open(args.out, "a", newline="")
     except OSError as exc:
         print(f"cannot open output: {exc}", file=sys.stderr)
         return 3
     try:
+        rows, text = run_sweep(spec), io.StringIO()
         if args.format == "csv":
-            write_csv(rows, fh)
+            write_csv(rows, text)
         else:
-            write_svg(rows, fh, axis_label=args.axis)
+            write_svg(rows, text, axis_label=args.axis)
+        if fh is not sys.stdout and os.path.isfile(args.out):
+            fh.truncate(0)
+        fh.write(text.getvalue())
+    except ParameterError:
+        if created:
+            os.remove(args.out)
+        raise
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ of them, one per column, whose rank is found by Gaussian elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ParameterError
 
@@ -49,11 +49,13 @@ def ones(n: int) -> int:
     return (1 << n) - 1
 
 
-def bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> list[int]:
     """The set bits of a bitset as single-bit ints, from level 1 down."""
+    out = []
     while mask:
-        yield mask & -mask
+        out.append(mask & -mask)
         mask &= mask - 1
+    return out
 
 
 def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:

@@ -178,13 +178,18 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     for name, mask, gain in (("message", a.message, p.n11), ("jam", a.jam, p.n2)):
         if mask < 0 or mask >> gain:
             raise ParameterError(f"{name} levels {mask:#b} out of range 1..{gain}")
-    q, full = p.q, ones(p.q)
-    msg, jam = list(bits(a.message)), list(bits(a.jam))
+    q = p.q
     return LinearScheme(
-        A=tuple(b << q - p.n2 & full for b in msg),
-        B=tuple(b << q - p.n2 & full for b in jam),
-        C=tuple(b << q - p.n11 & full for b in msg),
-        D=tuple(b << q - p.n21 & full for b in jam),
+        A=_columns(a.message, q - p.n2, q),
+        B=_columns(a.jam, q - p.n2, q),
+        C=_columns(a.message, q - p.n11, q),
+        D=_columns(a.jam, q - p.n21, q),
         allocation=a,
         params=p,
     )
+
+
+def _columns(mask: int, shift: int, q: int) -> tuple[int, ...]:
+    # a shift keeps the level order, so truncated levels are the last columns
+    cols = bits(mask << shift & ones(q))
+    return (*cols, *(0,) * (mask.bit_count() - len(cols)))

@@ -114,7 +114,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 def format_number(x: Fraction) -> str:
     """Integers bare; everything else rounded half-even to six decimal places."""
     if x.denominator == 1:
-        return str(x.numerator)
+        # str() refuses ints longer than sys.get_int_max_str_digits()
+        return str(Decimal(x.numerator))
     with localcontext() as ctx:
         # over 7 digits beyond the numerator's keep the quotient closer to x than
         # x is to any six-decimal half-way point (>= 1 / (2e6 * denominator))
@@ -140,9 +141,13 @@ def write_svg(rows: list[SweepRow], fh: IO[str], axis_label: str) -> None:
     width, height = 720, 460
     ml, mr, mt, mb = 70, 24, 24, 56
     plot_w, plot_h = width - ml - mr, height - mt - mb
-    xs = [float(r.axis_value) for r in rows]
-    ach = [float(r.normalized_ach) for r in rows]
-    ubs = [float(r.normalized_ub) for r in rows]
+    try:
+        xs = [float(r.axis_value) for r in rows]
+        ach = [float(r.normalized_ach) for r in rows]
+        ubs = [float(r.normalized_ub) for r in rows]
+    except OverflowError:
+        raise ParameterError("sweep values beyond the float range cannot be plotted; "
+                             "write CSV instead") from None
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     y_hi = max(1.0, max(ach, default=1.0), max(ubs, default=1.0)) * 1.05
@@ -154,56 +159,36 @@ def write_svg(rows: list[SweepRow], fh: IO[str], axis_label: str) -> None:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for i in range(6):
-        fx = x_lo + x_span * i / 5
-        px, _ = to_px(fx, 0)
-        out.append(
+        fx, fy = x_lo + x_span * i / 5, y_hi * i / 5
+        (px, _), (_, py) = to_px(fx, 0), to_px(x_lo, fy)
+        out += [
             f'<line x1="{px:.2f}" y1="{mt}" x2="{px:.2f}" y2="{mt + plot_h}" '
-            'stroke="#dddddd"/>'
-        )
-        out.append(
+            'stroke="#dddddd"/>',
             f'<text x="{px:.2f}" y="{mt + plot_h + 18}" font-size="12" '
-            f'text-anchor="middle">{fx:.2f}</text>'
-        )
-        fy = y_hi * i / 5
-        _, py = to_px(x_lo, fy)
-        out.append(
+            f'text-anchor="middle">{fx:.2f}</text>',
             f'<line x1="{ml}" y1="{py:.2f}" x2="{ml + plot_w}" y2="{py:.2f}" '
-            'stroke="#dddddd"/>'
-        )
-        out.append(
+            'stroke="#dddddd"/>',
             f'<text x="{ml - 8}" y="{py + 4:.2f}" font-size="12" '
-            f'text-anchor="end">{fy:.2f}</text>'
-        )
-    out.append(
-        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="black"/>'
-    )
-    out.append(
-        f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" '
-        f'stroke-dasharray="6,3" points="{_svg_path([to_px(x, y) for x, y in zip(xs, ubs)])}"/>'
-    )
-    out.append(
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
-        f'points="{_svg_path([to_px(x, y) for x, y in zip(xs, ach)])}"/>'
-    )
-    out.append(
-        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 16}" font-size="14" '
-        f'text-anchor="middle">{axis_label}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{mt + plot_h / 2:.2f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 18 {mt + plot_h / 2:.2f})">normalized rate</text>'
-    )
+            f'text-anchor="end">{fy:.2f}</text>',
+        ]
     lx, ly = ml + plot_w - 200, mt + 14
-    out.append(
+    out += [
+        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="black"/>',
+        f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" '
+        f'stroke-dasharray="6,3" points="{_svg_path([to_px(x, y) for x, y in zip(xs, ubs)])}"/>',
+        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
+        f'points="{_svg_path([to_px(x, y) for x, y in zip(xs, ach)])}"/>',
+        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 16}" font-size="14" '
+        f'text-anchor="middle">{axis_label}</text>',
+        f'<text x="18" y="{mt + plot_h / 2:.2f}" font-size="14" text-anchor="middle" '
+        f'transform="rotate(-90 18 {mt + plot_h / 2:.2f})">normalized rate</text>',
         f'<line x1="{lx}" y1="{ly}" x2="{lx + 28}" y2="{ly}" stroke="#1f77b4" '
-        'stroke-width="1.5"/>'
-    )
-    out.append(f'<text x="{lx + 34}" y="{ly + 4}" font-size="12">achievable</text>')
-    out.append(
+        'stroke-width="1.5"/>',
+        f'<text x="{lx + 34}" y="{ly + 4}" font-size="12">achievable</text>',
         f'<line x1="{lx + 110}" y1="{ly}" x2="{lx + 138}" y2="{ly}" stroke="#d62728" '
-        'stroke-width="1.5" stroke-dasharray="6,3"/>'
-    )
-    out.append(f'<text x="{lx + 144}" y="{ly + 4}" font-size="12">upper bound</text>')
-    out.append("</svg>")
+        'stroke-width="1.5" stroke-dasharray="6,3"/>',
+        f'<text x="{lx + 144}" y="{ly + 4}" font-size="12">upper bound</text>',
+        "</svg>",
+    ]
     fh.write("\n".join(out) + "\n")

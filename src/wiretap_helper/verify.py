@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .bounds import upper_bounds
+from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError
 from .ldm import ChannelParams, _rank_of_int_columns, bits, ldm_channel, ones
 from .scheme import (Allocation, CaseTag, LinearScheme, build_linear_scheme,
@@ -45,6 +45,17 @@ def decodable(s: LinearScheme) -> bool:
     if _rank_of_int_columns(s.C) != s.k:
         return False
     return _rank_of_int_columns(s.C + s.D) == s.k + _rank_of_int_columns(s.D)
+
+
+def _unit_checks(s: LinearScheme) -> tuple[int, bool] | None:
+    """``(leakage(s), decodable(s))`` if all columns are unit or zero vectors, as
+    built ones are, else None: each rank is then the popcount of the columns' OR."""
+    cols = s.A + s.B + s.C + s.D
+    if sum(map(int.bit_count, cols)) != len(cols) - cols.count(0):
+        return None
+    a, b, c, d = (sum(set(m)) for m in (s.A, s.B, s.C, s.D))  # OR of distinct units
+    decodes = c.bit_count() == s.k == (c | d).bit_count() - d.bit_count()
+    return (a | b).bit_count() - b.bit_count(), decodes
 
 
 def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
@@ -72,7 +83,7 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         v, inputs = reduce(col, 1 << j)
         if v:
             basis[v.bit_length() - 1] = (v, inputs)
-    msg, jam = list(bits(s.allocation.message)), list(bits(s.allocation.jam))
+    msg, jam = bits(s.allocation.message), bits(s.allocation.jam)
     rng = random.Random(seed)
     for _ in range(trials):
         w = rng.getrandbits(s.k) if s.k else 0
@@ -172,10 +183,10 @@ def run_verification(
     for p in iter_instances(max_q):
         run.instances += 1
         br = r_achievable(p)
-        ub = upper_bounds(p)
-        if br.r_ach > ub.min_ub:
+        twice_ub = min(_doubled_bounds(p.n11, p.n21, p.n2))
+        if 2 * br.r_ach > twice_ub:
             run.failures.append(
-                f"{p}: achievable {br.r_ach} exceeds converse {ub.min_ub}"
+                f"{p}: achievable {br.r_ach} exceeds converse {upper_bounds(p).min_ub}"
             )
         if br.case_tag is CaseTag.SINGULAR:
             run.singular_instances += 1
@@ -188,10 +199,10 @@ def run_verification(
                     f"{p}: construction carries {alloc.message.bit_count()} bits, "
                     f"formula says {br.r_ach}"
                 )
-            leak = leakage(s)
+            leak, decodes = _unit_checks(s) or (leakage(s), decodable(s))
             if leak != 0:
                 run.failures.append(f"{p}: constructed scheme leaks {leak} bits")
-            if not decodable(s):
+            if not decodes:
                 run.failures.append(f"{p}: constructed scheme is not decodable")
             elif s.k and len(sampled) < ROUNDTRIP_SAMPLES and rng.random() < 0.02:
                 sampled.append(s)
@@ -202,9 +213,9 @@ def run_verification(
                 run.failures.append(
                     f"{p}: oracle best {rate} below formula {br.r_ach}"
                 )
-            if rate > ub.min_ub:
+            if 2 * rate > twice_ub:
                 run.failures.append(
-                    f"{p}: oracle best {rate} exceeds converse {ub.min_ub}"
+                    f"{p}: oracle best {rate} exceeds converse {upper_bounds(p).min_ub}"
                 )
             if rate > br.r_ach:
                 oracle_gaps.append(

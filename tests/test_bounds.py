@@ -3,17 +3,45 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wiretap_helper import (
     ChannelParams,
     ParameterError,
+    UpperBounds,
     gaussian_upper_bounds,
     upper_bounds,
 )
 from wiretap_helper.verify import iter_instances
 
 
+def rational_bounds(p):
+    """Reference: the three bounds as sums of exact rationals."""
+    pos = lambda x: max(x, 0)  # noqa: E731
+    rp = pos(p.n11 - p.n2)
+    return (
+        rp + Fraction(max(p.n11, p.n21) - rp, 2) + Fraction(pos(p.n2 - p.n21), 2),
+        Fraction(p.n11),
+        Fraction(p.n21 + pos(p.n11 - p.n21 - p.n2)
+                 + pos(p.n2 - p.n21 - pos(p.n2 - p.n11 + p.n21))),
+    )
+
+
 class TestUpperBounds:
+    def test_matches_rational_reference_to_q16(self):
+        for p in iter_instances(16):
+            ub = upper_bounds(p)
+            assert (ub.ub1, ub.ub2, ub.ub3) == rational_bounds(p), p
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
+    def test_matches_rational_reference_to_q64(self, n11, n21, n2):
+        p = ChannelParams(n11, n21, n2)
+        ub = upper_bounds(p)
+        assert (ub.ub1, ub.ub2, ub.ub3) == rational_bounds(p)
+        c = Fraction(1, 3)
+        assert gaussian_upper_bounds(p, c) == UpperBounds(*(x + c for x in rational_bounds(p)))
+
     def test_aligned_example(self):
         ub = upper_bounds(ChannelParams(10, 8, 10))
         assert (ub.ub1, ub.ub2, ub.ub3) == (6, 10, 8)

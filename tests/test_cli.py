@@ -1,11 +1,12 @@
 """CLI behavior: families, sweeps, verification, exit codes, config."""
 
+import os
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wiretap_helper import ParameterError, SweepSpec, run_sweep, sweep
+from wiretap_helper import ParameterError, SweepSpec, cli, run_sweep, sweep
 from wiretap_helper.cli import main
 
 
@@ -105,6 +106,19 @@ class TestRates:
                                "--beta1", "1.5", "--beta2", "1")
         assert code == 0
         assert f"ub2: 1{'0' * 400}\n" in out
+
+    def test_values_beyond_the_int_print_limit(self, capsys):
+        # str(int) stops at 4,300 digits by default
+        code, out, _ = run_cli(capsys, "gaussian", "--log-snr1", "1e5000",
+                               "--beta1", "1.5", "--beta2", "1")
+        assert code == 0
+        assert f"ub2: 1{'0' * 5000}\n" in out
+        assert f"correspondence: n11=1{'0' * 5000} n21=15{'0' * 4999} " in out
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "beta1", "--start", "1.5",
+                               "--stop", "1.5", "--step", "1", "--beta2", "1",
+                               "--log-snr1", "1e5000")
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"1.500000,5{'0' * 4999},")
 
     def test_huge_non_integer_values_keep_six_decimals(self, capsys):
         code, out, _ = run_cli(capsys, "gaussian", "--log-snr1", f"1{'0' * 50}1/3",
@@ -239,6 +253,61 @@ class TestSweep:
         )
         assert code == 3
         assert "cannot open output" in err
+
+    def test_svg_beyond_float_range_is_usage_error(self, capsys, tmp_path):
+        # the CSV of the same sweep is exact (see the float-range test below)
+        out_file = tmp_path / "plot.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "beta1", "--start", "0.5", "--stop", "0.6",
+                  "--step", "0.05", "--beta2", "1", "--log-snr1", "1e-400",
+                  "--format", "svg", "--out", str(out_file)])
+        assert exc.value.code == 2
+        assert "write CSV instead" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_path_fails_before_any_row(self, capsys, tmp_path, monkeypatch, where):
+        def no_rows(spec):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "run_sweep", no_rows)
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--axis", "n11", "--start", "1", "--stop", "2",
+            "--step", "1", "--n21", "2", "--n2", "3", "--out", str(out),
+        )
+        assert code == 3
+        assert "cannot open output" in err
+
+    @pytest.mark.parametrize("existing", [None, "earlier output\n"], ids=["new", "existing"])
+    def test_usage_error_creates_and_truncates_no_file(self, tmp_path, existing):
+        out_file = tmp_path / "sweep.csv"
+        if existing is not None:
+            out_file.write_text(existing)
+        # the half-integer gain is rejected while the rows are built
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "n11", "--start", "1", "--stop", "2",
+                  "--step", "0.5", "--n21", "2", "--n2", "3", "--out", str(out_file)])
+        assert exc.value.code == 2
+        if existing is None:
+            assert not out_file.exists()
+        else:
+            assert out_file.read_text() == existing
+
+    def test_longer_existing_file_is_replaced(self, capsys, tmp_path):
+        args = ["sweep", "--axis", "n11", "--start", "1", "--stop", "4",
+                "--step", "1", "--n21", "2", "--n2", "3"]
+        out_file = tmp_path / "sweep.csv"
+        out_file.write_text("x" * 10_000)
+        assert run_cli(capsys, *args, "--out", str(out_file))[0] == 0
+        assert out_file.read_text() == run_cli(capsys, *args)[1]
+
+    def test_output_to_a_device(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--axis", "n11", "--start", "1", "--stop", "2",
+            "--step", "1", "--n21", "2", "--n2", "3", "--out", os.devnull,
+        )
+        assert code == 0
 
     def test_asymptotic_uses_integer_correspondence(self, capsys):
         code, out, _ = run_cli(

@@ -225,6 +225,22 @@ class TestBuildLinearScheme:
         assert s.allocation == a
         assert s.C == (1 << 0, 1 << 2)
 
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.data())
+    def test_matches_per_level_shifts(self, n11, n21, n2, data):
+        # reference: shift each allocated level on its own, zero past q
+        p = ChannelParams(n11, n21, n2)
+        a = Allocation(data.draw(st.integers(0, (1 << n11) - 1)),
+                       data.draw(st.integers(0, (1 << n2) - 1)))
+        msg = [1 << i for i in range(n11) if a.message >> i & 1]
+        jam = [1 << i for i in range(n2) if a.jam >> i & 1]
+        full = (1 << p.q) - 1
+        s = build_linear_scheme(a, p)
+        assert s.A == tuple(b << p.q - n2 & full for b in msg)
+        assert s.B == tuple(b << p.q - n2 & full for b in jam)
+        assert s.C == tuple(b << p.q - n11 & full for b in msg)
+        assert s.D == tuple(b << p.q - n21 & full for b in jam)
+
 
 class TestAgainstConverse:
     def test_spec_example_is_tight(self):

@@ -26,7 +26,11 @@ from wiretap_helper import (
     simulate_roundtrip,
     upper_bounds,
 )
-from wiretap_helper.verify import iter_instances
+from wiretap_helper import verify
+from wiretap_helper.bounds import _doubled_bounds
+from wiretap_helper.cli import main
+from wiretap_helper.scheme import RateBreakdown
+from wiretap_helper.verify import _unit_checks, iter_instances
 
 I3 = (0b001, 0b010, 0b100)  # identity map on q = 3 levels
 
@@ -309,3 +313,123 @@ class TestRunVerification:
         assert run.schemes_checked == 0
         assert not run.ok
         assert any("no scheme was checked" in f for f in run.failures)
+
+
+def mix(columns):
+    """Columns c_j ^ c_(j-1): an invertible change of input basis, which
+    keeps every rank in ``leakage`` and ``decodable`` but is not unit."""
+    return tuple(c ^ prev for prev, c in zip((0,) + columns, columns))
+
+
+def mix_built_schemes(monkeypatch):
+    # the roundtrip runs the channel itself, which mixed maps no longer describe
+    monkeypatch.setattr(verify, "ROUNDTRIP_SAMPLES", 0)
+    monkeypatch.setattr(verify, "build_linear_scheme", lambda a, p: mixed(
+        build_linear_scheme(a, p)))
+
+
+def mixed(s):
+    return LinearScheme(A=mix(s.A), B=mix(s.B), C=mix(s.C), D=mix(s.D),
+                        allocation=s.allocation, params=s.params)
+
+
+def constructed(p):
+    return build_linear_scheme(construct_allocation(p), p)
+
+
+def assert_integer_path_is_the_judge(p):
+    ub = upper_bounds(p)
+    assert _doubled_bounds(p.n11, p.n21, p.n2) == (2 * ub.ub1, 2 * ub.ub2, 2 * ub.ub3), p
+    if r_achievable(p).case_tag is not CaseTag.SINGULAR:
+        s = constructed(p)
+        assert _unit_checks(s) == (leakage(s), decodable(s)), p
+
+
+class TestIntegerChecks:
+    def test_every_instance_to_q16(self):
+        for p in iter_instances(16):
+            assert_integer_path_is_the_judge(p)
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
+    def test_up_to_q64(self, n11, n21, n2):
+        assert_integer_path_is_the_judge(ChannelParams(n11, n21, n2))
+
+    def test_faulty_unit_schemes_agree_with_rank(self):
+        # leaking and undecodable allocations too, not only the construction
+        rng = random.Random(3)
+        for _ in range(300):
+            p = ChannelParams(rng.randint(1, 12), rng.randint(0, 12), rng.randint(0, 12))
+            s = build_linear_scheme(Allocation(rng.getrandbits(p.n11), rng.getrandbits(p.n2)), p)
+            assert _unit_checks(s) == (leakage(s), decodable(s)), p
+
+    def test_non_unit_columns_take_the_rank_path(self):
+        for p in iter_instances(8):
+            if r_achievable(p).case_tag is CaseTag.SINGULAR:
+                continue
+            s = constructed(p)
+            g = mixed(s)
+            if s.k >= 2:  # C has no zero column, so mixing leaves a two-bit one
+                assert _unit_checks(g) is None, p
+            assert (leakage(g), decodable(g)) == (leakage(s), decodable(s)), p
+
+    def test_grid_of_non_unit_schemes_gets_the_same_verdict(self, monkeypatch):
+        calls = Counter()
+
+        def counting(f):
+            def wrapper(s):
+                calls[f.__name__] += 1
+                return f(s)
+            return wrapper
+
+        monkeypatch.setattr(verify, "ROUNDTRIP_SAMPLES", 0)
+        base = run_verification(8, with_oracle=True, seed=2)
+        mix_built_schemes(monkeypatch)
+        monkeypatch.setattr(verify, "leakage", counting(leakage))
+        run = run_verification(8, with_oracle=True, seed=2)
+        assert calls["leakage"] > 0
+        assert run == base and run.ok
+
+
+# (3, 2, 3) is aligned: message and jam on levels 1 and 3; jam level 1 lands
+# on level 2 at the legitimate receiver.  (2, 3, 2) has converse 3/2.
+ALIGNED, HALF = ChannelParams(3, 2, 3), ChannelParams(2, 3, 2)
+
+
+def verify_with_fault(monkeypatch, capsys, name, target, fault, *flags):
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda p: fault(real(p)) if p == target else real(p))
+    code = main(["verify", "--max-q", "3", *flags])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.endswith("result: FAILED\n")
+    return [line[len("FAIL: "):] for line in out.splitlines() if line.startswith("FAIL: ")]
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("fault,failures", [
+        (lambda a: Allocation(a.message, a.jam & ~mask(1)),
+         ["constructed scheme leaks 1 bits"]),
+        (lambda a: Allocation(mask(1, 2), mask(1, 2)),
+         ["constructed scheme is not decodable"]),
+        (lambda a: Allocation(a.message | mask(2), a.jam),
+         ["construction carries 3 bits, formula says 2",
+          "constructed scheme leaks 1 bits", "constructed scheme is not decodable"]),
+    ], ids=["jam-bit-dropped", "message-on-landing-level", "message-bit-added"])
+    @pytest.mark.parametrize("columns", ["unit", "mixed"])
+    def test_broken_construction(self, monkeypatch, capsys, fault, failures, columns):
+        if columns == "mixed":
+            mix_built_schemes(monkeypatch)
+        got = verify_with_fault(monkeypatch, capsys, "construct_allocation", ALIGNED, fault)
+        assert got == [f"{ALIGNED}: {line}" for line in failures]
+
+    def test_rate_above_converse(self, monkeypatch, capsys):
+        got = verify_with_fault(monkeypatch, capsys, "r_achievable", HALF,
+                                lambda br: RateBreakdown(0, 2, 2, br.case_tag))
+        assert got == [f"{HALF}: achievable 2 exceeds converse 3/2",
+                       f"{HALF}: construction carries 1 bits, formula says 2"]
+
+    def test_oracle_above_converse(self, monkeypatch, capsys):
+        got = verify_with_fault(monkeypatch, capsys, "oracle_best_rate", HALF,
+                                lambda found: (2, found[1]), "--oracle")
+        assert got == [f"{HALF}: oracle best 2 exceeds converse 3/2"]
