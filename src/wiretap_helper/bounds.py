@@ -47,7 +47,8 @@ def upper_bounds(p: ChannelParams) -> UpperBounds:
 
 def gaussian_upper_bounds(p: ChannelParams, c: Fraction | int = 0) -> UpperBounds:
     """Deterministic bounds plus the constant-gap term c (c >= 0)."""
-    c = Fraction(c)
-    if c < 0:
+    cn, cd = Fraction(c).as_integer_ratio()
+    if cn < 0:
         raise ParameterError("the gap constant c must be nonnegative")
-    return UpperBounds(*(Fraction(x, 2) + c for x in _doubled_bounds(p.n11, p.n21, p.n2)))
+    return UpperBounds(*(Fraction(x * cd + 2 * cn, 2 * cd)
+                         for x in _doubled_bounds(p.n11, p.n21, p.n2)))

@@ -112,15 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(x) -> str:
-    return format_number(Fraction(x))
-
-
 def _print_bound_block(ub, r_ach) -> None:
-    print(f"ub1: {_fmt(ub.ub1)}")
-    print(f"ub2: {_fmt(ub.ub2)}")
-    print(f"ub3: {_fmt(ub.ub3)}")
-    print(f"min_ub: {_fmt(ub.min_ub)}")
+    print(f"ub1: {format_number(ub.ub1)}")
+    print(f"ub2: {format_number(ub.ub2)}")
+    print(f"ub3: {format_number(ub.ub3)}")
+    print(f"min_ub: {format_number(ub.min_ub)}")
     print(f"tight: {'yes' if Fraction(r_ach) == ub.min_ub else 'no'}")
 
 
@@ -159,15 +155,16 @@ def _cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if gb.case_tag is CaseTag.SINGULAR:
         print("note: beta1 = 1 leaves no scale offset to align against; "
               "only the private rate is reported")
-    print(f"r_private: {_fmt(gb.r_private)}")
-    print(f"r_common: {_fmt(gb.r_common)}")
-    print(f"r_gross: {_fmt(gb.r_gross)}")
-    print(f"level_penalty: {_fmt(gb.d)}")
-    print(f"r_ach: {_fmt(gb.r_ach)}")
+    print(f"r_private: {format_number(gb.r_private)}")
+    print(f"r_common: {format_number(gb.r_common)}")
+    print(f"r_gross: {format_number(gb.r_gross)}")
+    print(f"level_penalty: {format_number(gb.d)}")
+    print(f"r_ach: {format_number(gb.r_ach)}")
     print(f"normalized: {format_number(gb.normalized)}")
     if gb.r_common_sum is not None:
         print(f"r_common_sum: {gb.r_common_sum:.6f}")
-    print(f"correspondence: n11={_fmt(cp.n11)} n21={_fmt(cp.n21)} n2={_fmt(cp.n2)}")
+    print(f"correspondence: n11={format_number(cp.n11)} n21={format_number(cp.n21)} "
+          f"n2={format_number(cp.n2)}")
     _print_bound_block(ub, gb.r_ach)
     return 0
 

@@ -8,10 +8,10 @@ partitions of the deterministic model; level-wise lattice decoding that
 treats lower levels as noise costs a bounded number of bits per level,
 which enters the closed form as a penalty of one bit per full level.
 
-All closed-form arithmetic is exact over rationals; logarithms are base 2
-and rates are in bits.  Only the per-level decoding bound and the odd-level
-rate sum are floating point, evaluated in the log domain so large SNR
-exponents cannot overflow.
+The closed forms are exact, in integers over one common denominator with
+one ``Fraction`` per result; logarithms are base 2 and rates are in bits.
+Only the per-level decoding bound and the odd-level rate sum are floating
+point, evaluated in the log domain so large SNR exponents cannot overflow.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class GaussianParams:
         object.__setattr__(self, "log_snr1", to_fraction(self.log_snr1))
         object.__setattr__(self, "beta1", to_fraction(self.beta1))
         object.__setattr__(self, "beta2", to_fraction(self.beta2))
-        if self.log_snr1 <= 0:
+        if self.log_snr1.numerator <= 0:
             raise ParameterError("log_snr1 must be positive")
-        if self.beta1 < 0 or self.beta2 < 0:
+        if self.beta1.numerator < 0 or self.beta2.numerator < 0:
             raise ParameterError("beta exponents must be nonnegative")
 
     @property
@@ -61,7 +61,8 @@ class GaussianParams:
 
     @property
     def full_levels(self) -> int:
-        return math.floor(self.l_max)
+        n, d = self.beta1.as_integer_ratio()  # l_max raises the beta1 = 1 error
+        return d // abs(d - n) if n != d else math.floor(self.l_max)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,12 @@ def odd_level_sum(g: GaussianParams) -> float:
 
 
 def correspondence(g: GaussianParams) -> ChannelParams:
-    """Deterministic instance matching this Gaussian one: n = ceil(log SNR)+."""
+    """Deterministic instance matching this Gaussian one: n = ceil(log SNR)."""
+    a, b = g.log_snr1.numerator, g.log_snr1.denominator
     return ChannelParams(
-        n11=max(0, math.ceil(g.log_snr1)),
-        n21=max(0, math.ceil(g.beta1 * g.log_snr1)),
-        n2=max(0, math.ceil(g.beta2 * g.log_snr1)),
+        n11=-(-a // b),
+        n21=-(-a * g.beta1.numerator // (b * g.beta1.denominator)),
+        n2=-(-a * g.beta2.numerator // (b * g.beta2.denominator)),
     )
 
 
@@ -144,16 +146,15 @@ def gaussian_rate(g: GaussianParams) -> GaussianRateBreakdown:
     regime the per-level decoding penalty d (one bit per full level) is
     charged against the total.
     """
-    L = g.log_snr1
-    gains = (L, g.beta1 * L, g.beta2 * L)
-    den = math.lcm(*(x.denominator for x in gains))
-    rp, rc, tag = _rate_kernel(*(x.numerator * (den // x.denominator) for x in gains))
-    r_private, r_common = Fraction(rp, den), Fraction(rc, den)
-    gross = r_private + r_common
+    # L = a/b, beta1 = n1/d1, beta2 = n2/d2: the gains over den = b d1 d2
+    (a, b), (n1, d1), (n2, d2) = (x.as_integer_ratio() for x in (g.log_snr1, g.beta1, g.beta2))
+    rp, rc, tag = _rate_kernel(a * d1 * d2, n1 * a * d2, n2 * a * d1)
+    den = b * d1 * d2
     d = g.full_levels if tag is CaseTag.ALIGNED else 0
-    r_ach = max(gross - d, Fraction(0))
+    r_ach = max(rp + rc - d * den, 0)
     return GaussianRateBreakdown(
-        r_private=r_private, r_common=r_common, r_gross=gross, d=d, r_ach=r_ach,
-        normalized=r_ach / L, case_tag=tag,
-        r_common_sum=odd_level_sum(g) if g.beta1 < 1 else None,
+        r_private=Fraction(rp, den), r_common=Fraction(rc, den),
+        r_gross=Fraction(rp + rc, den), d=d, r_ach=Fraction(r_ach, den),
+        normalized=Fraction(r_ach, a * d1 * d2), case_tag=tag,  # r_ach / L
+        r_common_sum=odd_level_sum(g) if n1 < d1 else None,
     )

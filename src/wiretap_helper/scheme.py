@@ -145,6 +145,12 @@ def construct_allocation(p: ChannelParams) -> Allocation:
     within the aligned regime, or the all-zero instance).
     """
     rp, _, tag = _rate_kernel(p.n11, p.n21, p.n2)
+    return _allocation(p, rp, tag)
+
+
+def _allocation(p: ChannelParams, rp: int, tag: CaseTag) -> Allocation:
+    """``construct_allocation(p)`` from the private rate and regime that
+    ``_rate_kernel`` gives for ``p``."""
     if tag is CaseTag.SINGULAR:
         raise SingularCaseError(
             f"no alignment scheme for n11={p.n11}, n21={p.n21}: "

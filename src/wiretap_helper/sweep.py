@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import IO
 
-from .bounds import gaussian_upper_bounds, upper_bounds
+from .bounds import _doubled_bounds, gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
 from .gaussian import GaussianParams, correspondence, gaussian_rate
 from .ldm import ChannelParams
@@ -48,7 +48,8 @@ class SweepSpec:
         count = (self.stop - self.start) // self.step + 1
         if count > MAX_SWEEP_ROWS:
             raise ParameterError(f"sweep has {count} rows, above the cap of {MAX_SWEEP_ROWS}")
-        return [self.start + k * self.step for k in range(count)]
+        (a, da), (b, db) = self.start.as_integer_ratio(), self.step.as_integer_ratio()
+        return [Fraction(a * db + k * b * da, da * db) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -94,34 +95,42 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     raise ParameterError(f"{name} must be an integer, got {x}")
             p = ChannelParams(**{name: int(x) for name, x in params.items()})
             ub = upper_bounds(p)
+        twice = _doubled_bounds(p.n11, p.n21, p.n2)
+        min_ub = (ub.ub1, ub.ub2, ub.ub3)[twice.index(min(twice))]
         if gaussian and not spec.asymptotic:
             br = gaussian_rate(g)
-            r_ach, norm = br.r_gross, spec.log_snr1
+            r_ach, r_private, r_common = br.r_gross, br.r_private, br.r_common
+            norm = spec.log_snr1.as_integer_ratio()
         else:
             br = r_achievable(p)
-            r_ach, norm = Fraction(br.r_ach), p.n11
+            r_ach, r_private, r_common = map(Fraction, (br.r_ach, br.r_private, br.r_common))
+            norm = p.n11, 1
         rows.append(SweepRow(
-            axis_value=v, r_ach=r_ach,
-            r_private=Fraction(br.r_private), r_common=Fraction(br.r_common),
-            ub1=ub.ub1, ub2=ub.ub2, ub3=ub.ub3, min_ub=ub.min_ub,
-            normalized_ach=r_ach / norm if norm else Fraction(0),
-            normalized_ub=ub.min_ub / norm if norm else Fraction(0),
+            axis_value=v, r_ach=r_ach, r_private=r_private, r_common=r_common,
+            ub1=ub.ub1, ub2=ub.ub2, ub3=ub.ub3, min_ub=min_ub,
+            normalized_ach=_normalized(r_ach, *norm),
+            normalized_ub=_normalized(min_ub, *norm),
             case_tag=br.case_tag.value,
         ))
     return rows
 
 
-def format_number(x: Fraction) -> str:
+def _normalized(x: Fraction, n: int, d: int) -> Fraction:
+    """x / (n / d), and 0 for a zero normalizer."""
+    return Fraction(x.numerator * d, x.denominator * n) if n else Fraction(0)
+
+
+def format_number(x: Fraction | int) -> str:
     """Integers bare; everything else rounded half-even to six decimal places."""
-    if x.denominator == 1:
-        # str() refuses ints longer than sys.get_int_max_str_digits()
-        return str(Decimal(x.numerator))
-    with localcontext() as ctx:
-        # over 7 digits beyond the numerator's keep the quotient closer to x than
-        # x is to any six-decimal half-way point (>= 1 / (2e6 * denominator))
-        ctx.prec = 50 + x.numerator.bit_length() // 3
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+    n, d = x.numerator, x.denominator
+    q, r = divmod(abs(n) * 10**6, d)
+    q += 2 * r > d or 2 * r == d and q & 1  # up past half, or to even at half
+    whole, frac = divmod(q, 10**6)
+    try:
+        whole = str(whole)
+    except ValueError:  # str() refuses ints longer than sys.get_int_max_str_digits()
+        whole = str(Decimal(whole))
+    return ("-" if n < 0 else "") + whole + (f".{frac:06d}" if d > 1 else "")
 
 
 def write_csv(rows: list[SweepRow], fh: IO[str]) -> None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError
 from .ldm import ChannelParams, _rank_of_int_columns, bits, ldm_channel, ones
-from .scheme import (Allocation, CaseTag, LinearScheme, build_linear_scheme,
-                     construct_allocation, r_achievable)
+from .scheme import (Allocation, CaseTag, LinearScheme, _allocation, build_linear_scheme,
+                     r_achievable)
 
 # Schemes that verification decodes end to end through the channel, and the
 # random message/jam draws per scheme.
@@ -191,7 +191,7 @@ def run_verification(
         if br.case_tag is CaseTag.SINGULAR:
             run.singular_instances += 1
         else:
-            alloc = construct_allocation(p)
+            alloc = _allocation(p, br.r_private, br.case_tag)
             s = build_linear_scheme(alloc, p)
             run.schemes_checked += 1
             if alloc.message.bit_count() != br.r_ach:

@@ -1,10 +1,11 @@
 """CLI behavior: families, sweeps, verification, exit codes, config."""
 
 import os
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wiretap_helper import ParameterError, SweepSpec, cli, run_sweep, sweep
 from wiretap_helper.cli import main
@@ -342,7 +343,40 @@ def six_decimals(x):
     return f"{'-' if x < 0 else ''}{abs(n) // 10**6}.{abs(n) % 10**6:06d}"
 
 
+def decimal_format_number(x):
+    """Reference: format_number as written with a decimal context, before the
+    integer rounding replaced it."""
+    if x.denominator == 1:
+        return str(Decimal(x.numerator))
+    with localcontext() as ctx:
+        ctx.prec = 50 + x.numerator.bit_length() // 3
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+        return str(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+
+
+def signed(magnitudes):
+    return st.tuples(st.sampled_from([1, -1]), magnitudes).map(lambda t: t[0] * t[1])
+
+
 class TestFormatNumber:
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(signed(st.one_of(st.integers(0, 10**30), st.integers(10**4300, 10**4400))),
+           st.one_of(st.integers(1, 10**7), st.integers(1, 10**60)))
+    @example(5 * 10**53 + 1, 10**60)  # 5e-7 + 1e-60, just above a half-way point
+    @example(0, 1)
+    @example(-10**4400, 1)
+    def test_matches_the_decimal_version(self, num, den):
+        x = F(num, den)
+        assert sweep.format_number(x) == decimal_format_number(x)
+
+    @settings(derandomize=True, max_examples=200, database=None, deadline=None)
+    @given(signed(st.one_of(st.integers(0, 10**12), st.integers(10**4300, 10**4310))))
+    def test_half_way_points_of_both_parities(self, k):
+        # (2k + 1) / (2 * 10^6) lies halfway between k and k + 1 millionths
+        for j in (k, k + 1):
+            x = F(2 * j + 1, 2 * 10**6)
+            assert sweep.format_number(x) == decimal_format_number(x)
+
     @pytest.mark.parametrize("x,text", [
         (F(5, 10**7), "0.000000"),
         (F(15, 10**7), "0.000002"),

@@ -1,23 +1,30 @@
 """Gaussian rate evaluation: levels, decoding bounds, and the closed form."""
 
 import math
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wiretap_helper import (
     CaseTag,
     ChannelParams,
     GaussianParams,
+    GaussianRateBreakdown,
     ParameterError,
+    SweepSpec,
+    UpperBounds,
     correspondence,
     gaussian_rate,
+    gaussian_upper_bounds,
     level_rate,
     odd_level_sum,
     r_achievable,
 )
+from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.gaussian import _log2_theta
+from wiretap_helper.scheme import _rate_kernel
 
 
 def gp(log_snr1, beta1, beta2):
@@ -201,3 +208,112 @@ class TestNormalizedLimit:
         cp = correspondence(gp(80, b1, b2))
         det = r_achievable(cp)
         assert abs(extrapolated - det.r_ach / cp.n11) <= 0.02
+
+
+# --- the integer closed forms against the Fraction expressions they replaced ---
+
+def outcome(f, *args):
+    """f(*args), or the ParameterError it raises, for comparing two versions."""
+    try:
+        return f(*args)
+    except ParameterError as exc:
+        return ParameterError, str(exc)
+
+
+def fraction_params(log_snr1, beta1, beta2):
+    if log_snr1 <= 0:
+        raise ParameterError("log_snr1 must be positive")
+    if beta1 < 0 or beta2 < 0:
+        raise ParameterError("beta exponents must be nonnegative")
+    return log_snr1, beta1, beta2
+
+
+def fraction_full_levels(g):
+    return math.floor(g.l_max)
+
+
+def fraction_correspondence(g):
+    L = g.log_snr1
+    return ChannelParams(max(0, math.ceil(L)), max(0, math.ceil(g.beta1 * L)),
+                         max(0, math.ceil(g.beta2 * L)))
+
+
+def fraction_gaussian_rate(g):
+    L = g.log_snr1
+    gains = (L, g.beta1 * L, g.beta2 * L)
+    den = math.lcm(*(x.denominator for x in gains))
+    rp, rc, tag = _rate_kernel(*(x.numerator * (den // x.denominator) for x in gains))
+    r_private, r_common = F(rp, den), F(rc, den)
+    gross = r_private + r_common
+    d = fraction_full_levels(g) if tag is CaseTag.ALIGNED else 0
+    r_ach = max(gross - d, F(0))
+    return GaussianRateBreakdown(
+        r_private=r_private, r_common=r_common, r_gross=gross, d=d, r_ach=r_ach,
+        normalized=r_ach / L, case_tag=tag,
+        r_common_sum=odd_level_sum(g) if g.beta1 < 1 else None,
+    )
+
+
+def fraction_gaussian_upper_bounds(p, c):
+    c = F(c)
+    if c < 0:
+        raise ParameterError("the gap constant c must be nonnegative")
+    return UpperBounds(*(F(x, 2) + c for x in _doubled_bounds(p.n11, p.n21, p.n2)))
+
+
+def fraction_grid(spec):
+    count = (spec.stop - spec.start) // spec.step + 1
+    return [spec.start + k * spec.step for k in range(count)]
+
+
+# non-decimal denominators up to 60, so that a beta1 below one has at most 60 levels
+betas = st.integers(1, 60).flatmap(lambda d: st.builds(F, st.integers(0, 3 * d), st.just(d)))
+betas_below_one = st.integers(1, 60).flatmap(lambda d: st.builds(F, st.integers(0, d - 1),
+                                                                  st.just(d)))
+log_snr1s = st.builds(lambda m, d, e: F(m, d) * F(10) ** e,
+                      st.integers(1, 10**6), st.integers(1, 999),
+                      st.one_of(st.integers(-3, 3), st.integers(-400, -300),
+                                st.integers(300, 5000)))
+
+
+class TestIntegerPathsMatchFractions:
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(log_snr1s, st.one_of(st.sampled_from([F(1), F(2)]), betas, betas_below_one),
+           st.one_of(betas, st.just(F(0))), st.sampled_from([0, F(1, 3), F(2, 9), F(-1, 3)]))
+    @example(F(13, 3), F(5, 7), F(1, 3), F(1, 3))
+    @example(F(1, 10**400), F(1, 2), F(0), 0)
+    def test_closed_forms(self, log_snr1, beta1, beta2, c):
+        g = GaussianParams(log_snr1, beta1, beta2)
+        assert outcome(lambda: g.full_levels) == outcome(fraction_full_levels, g)
+        p = correspondence(g)
+        assert p == fraction_correspondence(g)
+        assert outcome(gaussian_upper_bounds, p, c) == outcome(
+            fraction_gaussian_upper_bounds, p, c)
+        got, want = outcome(gaussian_rate, g), outcome(fraction_gaussian_rate, g)
+        assert got == want
+        if isinstance(got, GaussianRateBreakdown):
+            for name in ("r_private", "r_common", "r_gross", "r_ach", "normalized"):
+                assert type(getattr(got, name)) is F, name
+            assert type(got.d) is int
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.builds(F, st.integers(-300, 300), st.integers(1, 99)),
+           st.builds(F, st.integers(-300, 300), st.integers(1, 99)),
+           st.builds(F, st.integers(-300, 300), st.integers(1, 99)))
+    def test_parameter_checks(self, log_snr1, beta1, beta2):
+        got = outcome(lambda: astuple(GaussianParams(log_snr1, beta1, beta2)))
+        assert got == outcome(fraction_params, log_snr1, beta1, beta2)
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.builds(F, st.integers(0, 300), st.integers(1, 99)),
+           st.builds(F, st.integers(0, 300), st.integers(1, 99)),
+           st.builds(F, st.integers(-3, 30), st.integers(1, 17)))
+    def test_sweep_grid(self, start, stop, step):
+        spec = SweepSpec("beta1", start, stop, step, {"beta2": F(1)})
+        if step <= 0 or start > stop:
+            with pytest.raises(ParameterError):
+                spec.grid()
+        else:
+            got = spec.grid()
+            assert got == fraction_grid(spec)
+            assert all(type(v) is F for v in got)

@@ -71,6 +71,15 @@ GOLDEN = {
     "sweep --axis beta2 --start 0 --stop 2 --step 0.05 --beta1 0.7 --log-snr1 33 "
     "--const-c 1/2 --asymptotic":
         "896f12817cec6f8c0c13eb0efd3c325042d5d5e03656a4de41c6fac7ca8de1ef",
+    # non-decimal log_snr1 and c != 0 on a non-asymptotic Gaussian sweep
+    "sweep --axis beta2 --start 0 --stop 3 --step 1/7 --beta1 2/3 --log-snr1 13/3 "
+    "--const-c 1/3":
+        "90cf1bf8633161e8cbd3389a9f49864f8c29d3070daf808adf99017a424c0a60",
+    "sweep --axis beta1 --start 1/9 --stop 7/3 --step 1/9 --beta2 5/4 --log-snr1 29/7 "
+    "--const-c 2/9 --format svg":
+        "dd54defbfe2c84bd94bc15f729d7406aa708bfea8cf061fa33b6ddedd6e128de",
+    "gaussian --log-snr1 13/3 --beta1 5/7 --beta2 1/3 --const-c 1/3":
+        "464fb125b188243dcb6e690bca817076b2487c3fe6b5f092dd6f8bfd711e778c",
     "verify --max-q 12 --seed 3":
         "9016d53237514519cd6ee072a4bd2860a0d7ceaaed69cbb4a558c469093e48a0",
     "verify --max-q 10 --oracle --seed 5":

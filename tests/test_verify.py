@@ -26,7 +26,7 @@ from wiretap_helper import (
     simulate_roundtrip,
     upper_bounds,
 )
-from wiretap_helper import verify
+from wiretap_helper import scheme, verify
 from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.cli import main
 from wiretap_helper.scheme import RateBreakdown
@@ -314,6 +314,16 @@ class TestRunVerification:
         assert not run.ok
         assert any("no scheme was checked" in f for f in run.failures)
 
+    def test_rate_kernel_runs_once_per_instance(self, monkeypatch):
+        # the allocation is built from r_achievable's kernel result, not a second call
+        calls = Counter()
+        real = scheme._rate_kernel
+        monkeypatch.setattr(scheme, "_rate_kernel",
+                            lambda *gains: calls.update([gains]) or real(*gains))
+        run = run_verification(6)
+        assert run.ok
+        assert sum(calls.values()) == len(calls) == run.instances
+
 
 def mix(columns):
     """Columns c_j ^ c_(j-1): an invertible change of input basis, which
@@ -398,7 +408,8 @@ ALIGNED, HALF = ChannelParams(3, 2, 3), ChannelParams(2, 3, 2)
 
 def verify_with_fault(monkeypatch, capsys, name, target, fault, *flags):
     real = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda p: fault(real(p)) if p == target else real(p))
+    monkeypatch.setattr(verify, name,
+                        lambda p, *rest: fault(real(p, *rest)) if p == target else real(p, *rest))
     code = main(["verify", "--max-q", "3", *flags])
     out = capsys.readouterr().out
     assert code == 1
@@ -420,7 +431,8 @@ class TestFaultInjection:
     def test_broken_construction(self, monkeypatch, capsys, fault, failures, columns):
         if columns == "mixed":
             mix_built_schemes(monkeypatch)
-        got = verify_with_fault(monkeypatch, capsys, "construct_allocation", ALIGNED, fault)
+        # the grid builds each allocation from its r_achievable result
+        got = verify_with_fault(monkeypatch, capsys, "_allocation", ALIGNED, fault)
         assert got == [f"{ALIGNED}: {line}" for line in failures]
 
     def test_rate_above_converse(self, monkeypatch, capsys):
