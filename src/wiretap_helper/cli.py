@@ -23,7 +23,7 @@ from .verify import run_verification
 
 ENV_LOG_SNR1 = "WTH_DEFAULT_LOG_SNR1"
 ENV_MAX_Q = "WTH_MAX_Q"
-SCHEME_CHECK_CAP = 24
+SCHEME_CHECK_CAP = 40
 
 
 def _rational(text: str) -> Fraction:
@@ -104,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the exact checks over a parameter grid")
     verify.add_argument("--max-q", type=_nonneg_int, dest="max_q", default=None,
-                        help=f"grid cap (env {ENV_MAX_Q}, default 8)")
+                        help=f"grid cap, at most {SCHEME_CHECK_CAP} (env {ENV_MAX_Q}, default 8)")
     verify.add_argument("--oracle", action="store_true",
-                        help="also run the exact O(q) allocation oracle")
+                        help="also run the exact allocation oracle")
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(run=_cmd_verify)
     return parser

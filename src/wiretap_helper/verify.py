@@ -13,7 +13,7 @@ rank(C) = k and rank([C | D]) = k + rank(D): the message map is injective
 and its image meets the jam image only in zero.
 
 The module also contains an exact oracle that finds the best verifiably
-secret and decodable level allocation of any instance in O(q) time,
+secret and decodable level allocation of any instance in closed form,
 independently of the partition construction.
 """
 
@@ -104,38 +104,36 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     For a fixed jam set, message level i is usable iff it is invisible to
     the eavesdropper (i > n2) or jam bit i covers it there, and no jam bit
     heard at the legitimate receiver lands on it: that is jam bit i - d,
-    d = n11 - n21, heard when i - d <= n21.  Each level thus couples at most
-    jam bits i and i - d, so the jam bits split into independent chains of
-    stride |d| and a two-state dynamic program along each chain finds the
-    optimum in O(q).
+    d = n11 - n21, heard when i - d <= n21.  With s = |d| > 0 the jam bits
+    split into s independent chains by residue mod s; level ``pos`` has
+    chain index (pos - 1) // s.  Let a chain have K levels and M jam bits
+    that matter (positions <= min(n2, n11) if d > 0, <= n2 if d < 0).
+
+    - d > 0: the chain's level j counts iff its jam bit j is set (or
+      j >= M) and jam bit j - 1 is not, so the optimum is ceil(M/2) if
+      K == M, else floor(M/2) + K - M: jam the even chain indices below
+      M - [K != M].
+    - d < 0: the chain's level j counts iff its jam bit j is set (or
+      j >= M) and jam bit j + 1 is not, so the optimum is
+      ceil(min(M, K)/2) + max(K - M, 0): jam the even chain indices below
+      min(M, K).
+    - d = 0: a jam bit both covers and lands on its level, so the optimum
+      is max(n11 - n2, 0) with no jam.
+
+    K and M take at most two values each across residues, so the residues
+    form at most three groups, and each group's jam is its residue mask
+    times one alternating-block geometric series: O(1) big-int operations.
     """
     n11, n21, n2 = p.n11, p.n21, p.n2
     d = n11 - n21
-    stride = abs(d) or 1
-
-    def usable(i: int, cover: int, landing: int) -> bool:
-        return 1 <= i <= n11 and (cover or i > n2) and not (landing and i - d <= n21)
-
+    s = abs(d)
+    top = min(n2, n11) if d > 0 else n2  # the last jam bit that matters
     jam = 0
-    for first in range(1, stride + 1):
-        chain = range(first, n11 + max(0, -d) + 1, stride)
-        score, back = [0, -1], []  # best count so far, by the last jam bit
-        for t in chain:
-            # level i is settled here: it depends only on jam bits t - stride and t
-            i = t if d >= 0 else t - stride
-            new, arg = [-1, -1], [0, 0]
-            for x in range(2 if t <= n2 else 1):
-                for prev in (0, 1):
-                    cover, landing = (x, prev) if d > 0 else (prev, x) if d < 0 else (x, x)
-                    v = score[prev] + usable(i, cover, landing)
-                    if score[prev] >= 0 and v > new[x]:
-                        new[x], arg[x] = v, prev
-            score = new
-            back.append(arg)
-        x = score.index(max(score))
-        for t, arg in zip(reversed(chain), reversed(back)):
-            jam |= x << t - 1
-            x = arg[x]
+    cuts = sorted({0, n11 % s, top % s, s}) if s else []
+    for lo, hi in zip(cuts, cuts[1:]):
+        k, m = ((n + s - 1 - lo) // s for n in (n11, top))  # K and M of residue lo
+        t = m - (k != m) if d > 0 else min(k, m)  # jam the even chain indices below t
+        jam |= (ones(hi) ^ ones(lo)) * (ones(2 * s * ((t + 1) // 2)) // ones(2 * s))
     # usable levels: covered at y2 and not hit by a jam bit heard at y1
     landing = (jam & ones(n21)) << p.q - n21 >> p.q - n11
     message = ones(n11) & (jam | ~ones(n2)) & ~landing
@@ -234,7 +232,7 @@ def run_verification(
             "scheme; private-only rate reported"
         )
     if oracle_gaps:
-        # the wording predates the O(q) oracle; scripts match it, so it stays
+        # the wording predates the closed-form oracle; scripts match it, so it stays
         run.findings.append(
             f"{len(oracle_gaps)} instances where the exhaustive oracle beats the "
             "partition formula (bit-level granularity): " + "; ".join(oracle_gaps[:10])

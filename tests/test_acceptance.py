@@ -89,9 +89,9 @@ def test_criterion_3_converse_consistency_q30():
     report(3, "achievable never exceeds converse, q <= 30")
 
 
-def test_criterion_4_oracle_dominance_q24():
-    gaps = 0
-    for p in iter_instances(24):
+def test_criterion_4_oracle_dominance_q40():
+    gaps = gaps_q24 = 0
+    for p in iter_instances(40):
         br = r_achievable(p)
         ub = upper_bounds(p)
         rate, witness = oracle_best_rate(p)
@@ -101,8 +101,10 @@ def test_criterion_4_oracle_dominance_q24():
         assert leakage(s) == 0 and decodable(s) and s.k == rate, p
         if rate > br.r_ach:
             gaps += 1
-    assert gaps == 144
-    report(4, f"oracle dominance on q <= 24 ({gaps} strict gaps reported as findings)")
+            gaps_q24 += p.q <= 24
+    assert gaps_q24 == 144
+    assert gaps == 766
+    report(4, f"oracle dominance on q <= 40 ({gaps} strict gaps reported as findings)")
 
 
 def test_criterion_5_rank_identity_vs_enumeration():

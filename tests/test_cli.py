@@ -419,7 +419,8 @@ class TestVerifyCommand:
         assert code == 0
         assert "oracle beats the partition formula" in out
 
-    @pytest.mark.parametrize("max_q,searches,gaps", [(11, 1728, 10), (24, 15625, 144)])
+    @pytest.mark.parametrize("max_q,searches,gaps",
+                             [(11, 1728, 10), (24, 15625, 144), (40, 68921, 766)])
     def test_oracle_runs_up_to_the_grid_cap(self, capsys, max_q, searches, gaps):
         code, out, _ = run_cli(capsys, "verify", "--max-q", str(max_q), "--oracle")
         assert code == 0
@@ -427,14 +428,14 @@ class TestVerifyCommand:
         assert f"finding: {gaps} instances where the exhaustive oracle beats" in out
 
     def test_oracle_cap(self):
-        for max_q in ("25", "30"):
+        for max_q in ("41", "50"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--max-q", max_q, "--oracle"])
             assert exc.value.code == 2
 
     def test_scheme_cap(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--max-q", "25"])
+            main(["verify", "--max-q", "41"])
         assert exc.value.code == 2
 
     def test_grid_without_a_scheme_fails(self, capsys):

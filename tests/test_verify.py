@@ -209,6 +209,41 @@ def enumerated_oracle(p):
     return best, Allocation(message, best_jam & message)
 
 
+def dp_oracle(p):
+    """Reference optimum by a two-state dynamic program along each jam-bit
+    chain of stride |n11 - n21|, O(q) per instance, with backtracking to a
+    witness.  Level i depends only on jam bits i and i - (n11 - n21)."""
+    n11, n21, n2 = p.n11, p.n21, p.n2
+    d = n11 - n21
+    stride = abs(d) or 1
+
+    def usable(i, cover, landing):
+        return 1 <= i <= n11 and (cover or i > n2) and not (landing and i - d <= n21)
+
+    jam = 0
+    for first in range(1, stride + 1):
+        chain = range(first, n11 + max(0, -d) + 1, stride)
+        score, back = [0, -1], []  # best count so far, by the last jam bit
+        for t in chain:
+            # level i is settled here: it depends only on jam bits t - stride and t
+            i = t if d >= 0 else t - stride
+            new, arg = [-1, -1], [0, 0]
+            for x in range(2 if t <= n2 else 1):
+                for prev in (0, 1):
+                    cover, landing = (x, prev) if d > 0 else (prev, x) if d < 0 else (x, x)
+                    v = score[prev] + usable(i, cover, landing)
+                    if score[prev] >= 0 and v > new[x]:
+                        new[x], arg[x] = v, prev
+            score = new
+            back.append(arg)
+        x = score.index(max(score))
+        for t, arg in zip(reversed(chain), reversed(back)):
+            jam |= x << t - 1
+            x = arg[x]
+    message = usable_levels(p, jam)
+    return message.bit_count(), Allocation(message, jam & message)
+
+
 def assert_witness_verifies(p, rate, witness):
     # the oracle's closed-form witness is what the per-level rule allows
     assert witness.message == usable_levels(p, witness.jam), p
@@ -252,11 +287,19 @@ class TestOracle:
             assert rate == enumerated_oracle(p)[0], p
             assert_witness_verifies(p, rate, witness)
 
+    def test_matches_dp_q24(self):
+        # same rate and, by the same tie-breaking, the same witness
+        for p in iter_instances(24):
+            rate, witness = oracle_best_rate(p)
+            assert (rate, witness) == dp_oracle(p), p
+            assert_witness_verifies(p, rate, witness)
+
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
-    @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
+    @given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200))
     def test_between_formula_and_converse(self, n11, n21, n2):
         p = ChannelParams(n11, n21, n2)
         rate, witness = oracle_best_rate(p)
+        assert (rate, witness) == dp_oracle(p)
         assert r_achievable(p).r_ach <= rate <= upper_bounds(p).min_ub
         assert_witness_verifies(p, rate, witness)
 
