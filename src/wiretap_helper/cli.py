@@ -24,10 +24,16 @@ from .verify import run_verification
 ENV_LOG_SNR1 = "WTH_DEFAULT_LOG_SNR1"
 ENV_MAX_Q = "WTH_MAX_Q"
 SCHEME_CHECK_CAP = 40
+# Fraction("1e10000000") alone takes seconds, and printing such a value minutes
+MAX_DECIMAL_EXPONENT = 10_000
 
 
 def _rational(text: str) -> Fraction:
     try:
+        _, e, exponent = text.lower().rpartition("e")  # a valid "e" starts the exponent
+        if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
         return to_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc

@@ -72,17 +72,16 @@ def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
     return y1, y2
 
 
-def _rank_of_int_columns(columns: Iterable[int]) -> int:
-    """Rank of a set of bitset vectors over GF(2), by greedy elimination."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in columns:
-        while v:
-            h = v.bit_length() - 1
-            other = pivots.get(h)
-            if other is None:
+def _added_rank(base: Iterable[int], extra: Iterable[int]) -> int:
+    """rank([base | extra]) - rank(base) over GF(2), by one greedy elimination:
+    the pivots found after the columns of ``base`` count the rank ``extra`` adds."""
+    pivots: dict[int, int] = {}  # leading bit -> reduced column
+    sizes = []
+    for cols in (base, extra):
+        for v in cols:
+            while v and (h := v.bit_length() - 1) in pivots:
+                v ^= pivots[h]
+            if v:
                 pivots[h] = v
-                rank += 1
-                break
-            v ^= other
-    return rank
+        sizes.append(len(pivots))
+    return sizes[1] - sizes[0]

@@ -1,6 +1,7 @@
 """CLI behavior: families, sweeps, verification, exit codes, config."""
 
 import os
+import time
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 
@@ -120,6 +121,22 @@ class TestRates:
                                "--log-snr1", "1e5000")
         assert code == 0
         assert out.splitlines()[1].startswith(f"1.500000,5{'0' * 4999},")
+
+    @pytest.mark.parametrize("value", ["1e1000000", "1e-1000000", "0e99999999", "1e1_000_000"])
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--beta1", "0.5", "--beta2", "{}"],
+        ["gaussian", "--beta1", "0.5", "--beta2", "1", "--const-c", "{}"],
+        ["sweep", "--axis", "beta1", "--start", "0.5", "--stop", "{}", "--step", "0.1",
+         "--beta2", "1"],
+    ], ids=["beta2", "const-c", "sweep-stop"])
+    def test_huge_decimal_exponent_is_usage_error(self, capsys, value, argv):
+        # Fraction("1e10000000") alone takes seconds, and printing 1e1000000 a minute
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(value) for a in argv])
+        assert exc.value.code == 2
+        assert time.monotonic() - start < 3
+        assert f"decimal exponent beyond +-10000: '{value}'" in capsys.readouterr().err
 
     def test_huge_non_integer_values_keep_six_decimals(self, capsys):
         code, out, _ = run_cli(capsys, "gaussian", "--log-snr1", f"1{'0' * 50}1/3",
@@ -483,7 +500,9 @@ class TestEnvironmentPrecedence:
         ("WTH_MAX_Q", "abc", ["verify"]),
         ("WTH_MAX_Q", "-3", ["verify"]),
         ("WTH_DEFAULT_LOG_SNR1", "1/0", ["gaussian", "--beta1", "0.75", "--beta2", "1"]),
-    ], ids=["max-q-not-int", "max-q-negative", "log-snr1-zero-denominator"])
+        ("WTH_DEFAULT_LOG_SNR1", "1e1000000", ["gaussian", "--beta1", "0.75", "--beta2", "1"]),
+    ], ids=["max-q-not-int", "max-q-negative", "log-snr1-zero-denominator",
+            "log-snr1-huge-exponent"])
     def test_bad_env_value_is_usage_error(self, capsys, monkeypatch, name, value, argv):
         monkeypatch.setenv(name, value)
         with pytest.raises(SystemExit) as exc:

@@ -84,6 +84,10 @@ GOLDEN = {
         "9016d53237514519cd6ee072a4bd2860a0d7ceaaed69cbb4a558c469093e48a0",
     "verify --max-q 10 --oracle --seed 5":
         "05a6b04706c92100cecdabfadd03d2a9c35278885afb9dcd0f60b54da5762f63",
+    # the full grid: 67,240 built schemes and 766 oracle gaps, recorded before
+    # leakage and decodability became one elimination pass each
+    "verify --max-q 40 --oracle --seed 0":
+        "656f3ccd9dc89eb788fb2984fc2f5de5b38a3d2d1aebb63dc2dd504196d3c4e6",
 }
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wiretap_helper import ChannelParams, ParameterError, ldm_channel
-from wiretap_helper.ldm import _rank_of_int_columns
+from wiretap_helper.ldm import _added_rank
 
 
 def bits(*levels):
@@ -116,16 +116,30 @@ class TestLdmChannel:
             assert (y2_user & -y2_user).bit_length() == (y2_help & -y2_help).bit_length()
 
 
+def row_space_size(columns, rows):
+    """Number of vectors in the span of the rows of [columns], by enumeration."""
+    row_ints = [sum(((c >> i) & 1) << j for j, c in enumerate(columns))
+                for i in range(rows)]
+    span = set()
+    for picks in itertools.product((0, 1), repeat=rows):
+        v = 0
+        for take, r in zip(picks, row_ints):
+            if take:
+                v ^= r
+        span.add(v)
+    return len(span)
+
+
 class TestGf2Rank:
     def test_identity(self):
-        assert _rank_of_int_columns((0b001, 0b010, 0b100)) == 3
+        assert _added_rank((), (0b001, 0b010, 0b100)) == 3
 
     def test_zero_matrix(self):
-        assert _rank_of_int_columns((0, 0, 0, 0)) == 0
+        assert _added_rank((), (0, 0, 0, 0)) == 0
 
     def test_repeated_rows(self):
         # rows [1 1] and [1 1]: both columns are 0b11
-        assert _rank_of_int_columns((0b11, 0b11)) == 1
+        assert _added_rank((), (0b11, 0b11)) == 1
 
     def test_rank_matches_exhaustive_row_space_enumeration(self):
         rng = random.Random(4)
@@ -133,16 +147,12 @@ class TestGf2Rank:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             columns = tuple(rng.getrandbits(rows) for _ in range(cols))
-            row_ints = [sum(((c >> i) & 1) << j for j, c in enumerate(columns))
-                        for i in range(rows)]
-            span = set()
-            for picks in itertools.product((0, 1), repeat=rows):
-                v = 0
-                for take, r in zip(picks, row_ints):
-                    if take:
-                        v ^= r
-                span.add(v)
-            assert 2 ** _rank_of_int_columns(columns) == len(span)
+            assert 2 ** _added_rank((), columns) == row_space_size(columns, rows)
+            # row and column rank agree, so the span sizes divide exactly
+            split = rng.randint(0, cols)
+            base, extra = columns[:split], columns[split:]
+            assert (2 ** _added_rank(base, extra) * row_space_size(base, rows)
+                    == row_space_size(columns, rows))
 
 
 class TestChannelParams:

@@ -30,7 +30,7 @@ from wiretap_helper import scheme, verify
 from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.cli import main
 from wiretap_helper.scheme import RateBreakdown
-from wiretap_helper.verify import _unit_checks, iter_instances
+from wiretap_helper.verify import iter_instances
 
 I3 = (0b001, 0b010, 0b100)  # identity map on q = 3 levels
 
@@ -390,40 +390,27 @@ def constructed(p):
     return build_linear_scheme(construct_allocation(p), p)
 
 
-def assert_integer_path_is_the_judge(p):
+def assert_doubled_bounds_are_exact(p):
     ub = upper_bounds(p)
     assert _doubled_bounds(p.n11, p.n21, p.n2) == (2 * ub.ub1, 2 * ub.ub2, 2 * ub.ub3), p
-    if r_achievable(p).case_tag is not CaseTag.SINGULAR:
-        s = constructed(p)
-        assert _unit_checks(s) == (leakage(s), decodable(s)), p
 
 
 class TestIntegerChecks:
     def test_every_instance_to_q16(self):
         for p in iter_instances(16):
-            assert_integer_path_is_the_judge(p)
+            assert_doubled_bounds_are_exact(p)
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
     @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64))
     def test_up_to_q64(self, n11, n21, n2):
-        assert_integer_path_is_the_judge(ChannelParams(n11, n21, n2))
+        assert_doubled_bounds_are_exact(ChannelParams(n11, n21, n2))
 
-    def test_faulty_unit_schemes_agree_with_rank(self):
-        # leaking and undecodable allocations too, not only the construction
-        rng = random.Random(3)
-        for _ in range(300):
-            p = ChannelParams(rng.randint(1, 12), rng.randint(0, 12), rng.randint(0, 12))
-            s = build_linear_scheme(Allocation(rng.getrandbits(p.n11), rng.getrandbits(p.n2)), p)
-            assert _unit_checks(s) == (leakage(s), decodable(s)), p
-
-    def test_non_unit_columns_take_the_rank_path(self):
+    def test_mixed_columns_keep_the_verdict(self):
         for p in iter_instances(8):
             if r_achievable(p).case_tag is CaseTag.SINGULAR:
                 continue
             s = constructed(p)
             g = mixed(s)
-            if s.k >= 2:  # C has no zero column, so mixing leaves a two-bit one
-                assert _unit_checks(g) is None, p
             assert (leakage(g), decodable(g)) == (leakage(s), decodable(s)), p
 
     def test_grid_of_non_unit_schemes_gets_the_same_verdict(self, monkeypatch):
