@@ -34,7 +34,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "Allocation",

@@ -26,17 +26,16 @@ class UpperBounds:
         return min(self.ub1, self.ub2, self.ub3)
 
 
-def _pos(x: int) -> int:
-    return x if x > 0 else 0
-
-
 def _doubled_bounds(n11: int, n21: int, n2: int) -> tuple[int, int, int]:
     """Twice the three converse bounds of a gain triple, as integers."""
-    rp = _pos(n11 - n2)
+    # each (x)^+ is written out inline: this runs once per verified instance
+    rp = n11 - n2 if n11 > n2 else 0
+    u = n2 - n11 + n21 if n2 + n21 > n11 else 0  # (n2 - n11 + n21)^+
     return (
-        rp + max(n11, n21) + _pos(n2 - n21),
+        rp + (n11 if n11 > n21 else n21) + (n2 - n21 if n2 > n21 else 0),
         2 * n11,
-        2 * (n21 + _pos(n11 - n21 - n2) + _pos(n2 - n21 - _pos(n2 - n11 + n21))),
+        2 * (n21 + (n11 - n21 - n2 if n11 > n21 + n2 else 0)
+             + (n2 - n21 - u if n2 - n21 > u else 0)),
     )
 
 

@@ -23,7 +23,7 @@ from .verify import run_verification
 
 ENV_LOG_SNR1 = "WTH_DEFAULT_LOG_SNR1"
 ENV_MAX_Q = "WTH_MAX_Q"
-SCHEME_CHECK_CAP = 40
+SCHEME_CHECK_CAP = 64
 # Fraction("1e10000000") alone takes seconds, and printing such a value minutes
 MAX_DECIMAL_EXPONENT = 10_000
 

@@ -28,6 +28,11 @@ class ChannelParams:
     n2: int
 
     def __post_init__(self) -> None:
+        n11, n21, n2 = self.n11, self.n21, self.n2
+        # three plain nonnegative ints pass in one test; anything else is
+        # checked gain by gain
+        if type(n11) is int and type(n21) is int and type(n2) is int and (n11 | n21 | n2) >= 0:
+            return
         for name in ("n11", "n21", "n2"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
@@ -47,6 +52,15 @@ class ChannelParams:
 def ones(n: int) -> int:
     """Bitset of levels 1..n."""
     return (1 << n) - 1
+
+
+def even_blocks(width: int, n: int) -> int:
+    """Levels 1..n in the even-indexed blocks of ``width`` levels counted
+    from level 1 (blocks 0, 2, 4, ...): ones(width) times a geometric
+    series of stride 2 * width, in O(1) big-int operations (width > 0)."""
+    period = 2 * width
+    series = ((1 << period * -(-n // period)) - 1) // ((1 << period) - 1)
+    return ((1 << width) - 1) * series & (1 << n) - 1
 
 
 def bits(mask: int) -> list[int]:

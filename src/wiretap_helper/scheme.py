@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularCaseError
-from .ldm import ChannelParams, bits, ones
+from .ldm import ChannelParams, even_blocks, ones
 
 
 class CaseTag(enum.Enum):
@@ -156,46 +156,51 @@ def _allocation(p: ChannelParams, rp: int, tag: CaseTag) -> Allocation:
             f"no alignment scheme for n11={p.n11}, n21={p.n21}: "
             "equal gains leave nothing to align against"
         )
-    n_common = p.n11 - rp
-    gap = p.n11 - p.n21
-    private = ones(p.n11) & ~ones(n_common)
+    n11, n21, n2 = p.n11, p.n21, p.n2
+    n_common = n11 - rp
+    gap = n11 - n21
+    private = ones(n11) ^ ones(n_common)
     if tag is CaseTag.STRONG_HELPER:
-        message = ones(p.n11)
+        message = ones(n11)
     elif tag is CaseTag.ALIGNED:
         # every second delta-partition of the common levels, from the top;
         # jamming lands one partition below at the receiver, so in the phi1
         # branch the partition next to the private part is its landing zone
-        delta = p.delta
-        top = max(n_common - delta, 0) if _uses_phi1(p.n11, p.n21, p.n2) else n_common
-        message = sum(ones(delta) << b for b in range(0, top, 2 * delta)) & ones(top) | private
-    elif max(gap, p.n21) >= rp:
+        delta = abs(gap)
+        top = max(n_common - delta, 0) if _uses_phi1(n11, n21, n2) else n_common
+        message = even_blocks(delta, top) | private
+    elif max(gap, n21) >= rp:
         # top block, jam-covered, plus everything below the jam's landing zone
         # (the next block down), which is empty when gap >= n21
-        message = ones(gap) | ones(p.n11) & ~ones(2 * gap)
+        message = ones(gap) | ones(n11) & ~ones(2 * gap)
     else:
         message = private
-    return Allocation(message, message & ones(p.n2))
+    return Allocation(message, message & ones(n2))
 
 
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     """Compile an allocation into the four channel-induced GF(2) maps: one
     column per set bit of a level mask, shifted down by q - gain and
     truncated at q (a level below the noise floor gives a zero column)."""
-    for name, mask, gain in (("message", a.message, p.n11), ("jam", a.jam, p.n2)):
-        if mask < 0 or mask >> gain:
-            raise ParameterError(f"{name} levels {mask:#b} out of range 1..{gain}")
-    q = p.q
-    return LinearScheme(
-        A=_columns(a.message, q - p.n2, q),
-        B=_columns(a.jam, q - p.n2, q),
-        C=_columns(a.message, q - p.n11, q),
-        D=_columns(a.jam, q - p.n21, q),
-        allocation=a,
-        params=p,
-    )
+    message, jam, n11, n21, n2 = a.message, a.jam, p.n11, p.n21, p.n2
+    if message < 0 or jam < 0 or message >> n11 or jam >> n2:
+        for name, mask, gain in (("message", message, n11), ("jam", jam, n2)):
+            if mask < 0 or mask >> gain:
+                raise ParameterError(f"{name} levels {mask:#b} out of range 1..{gain}")
+    q = max(n11, n21, n2)
+    A, C = _columns(message, q - n2, q - n11, q)
+    B, D = _columns(jam, q - n2, q - n21, q)
+    return LinearScheme(A, B, C, D, a, p)
 
 
-def _columns(mask: int, shift: int, q: int) -> tuple[int, ...]:
-    # a shift keeps the level order, so truncated levels are the last columns
-    cols = bits(mask << shift & ones(q))
-    return (*cols, *(0,) * (mask.bit_count() - len(cols)))
+def _columns(mask: int, shift1: int, shift2: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of one level mask under two shifts, in one pass over its
+    set bits; a level shifted to 2^q or beyond gives a zero column."""
+    full = (1 << q) - 1
+    one, two = [], []
+    while mask:
+        b = mask & -mask
+        one.append(b << shift1 & full)
+        two.append(b << shift2 & full)
+        mask ^= b
+    return tuple(one), tuple(two)

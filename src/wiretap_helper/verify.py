@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError
-from .ldm import ChannelParams, _added_rank, bits, ldm_channel, ones
+from .ldm import ChannelParams, _added_rank, bits, even_blocks, ldm_channel, ones
 from .scheme import (Allocation, CaseTag, LinearScheme, _allocation, build_linear_scheme,
                      r_achievable)
 
-# Schemes that verification decodes end to end through the channel, and the
-# random message/jam draws per scheme.
+# Schemes that verification decodes end to end through the channel (a seeded
+# uniform sample of the decodable schemes with k > 0), and the random
+# message/jam draws per scheme.
 ROUNDTRIP_SAMPLES = 25
 ROUNDTRIP_TRIALS = 50
 
@@ -73,17 +74,26 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         v, inputs = reduce(col, 1 << j)
         if v:
             basis[v.bit_length() - 1] = (v, inputs)
+
+    def place(v: int, levels: list[int]) -> int:
+        x = 0
+        for b in levels:
+            if v & 1:
+                x |= b
+            v >>= 1
+        return x
+
     msg, jam = bits(s.allocation.message), bits(s.allocation.jam)
-    rng = random.Random(seed)
+    k, m, p = s.k, s.m, s.params
+    message_inputs = ones(k)
+    getrandbits = random.Random(seed).getrandbits
     for _ in range(trials):
-        w = rng.getrandbits(s.k) if s.k else 0
-        u = rng.getrandbits(s.m) if s.m else 0
-        x1 = sum(b for j, b in enumerate(msg) if w >> j & 1)
-        x2 = sum(b for j, b in enumerate(jam) if u >> j & 1)
-        y1, _y2 = ldm_channel(x1, x2, s.params)
+        w = getrandbits(k) if k else 0
+        u = getrandbits(m) if m else 0
+        y1, _y2 = ldm_channel(place(w, msg), place(u, jam), p)
         # a residue is a y1 bit that no column of [C | D] reaches
         residue, inputs = reduce(y1, 0)
-        if residue or inputs & ones(s.k) != w:
+        if residue or inputs & message_inputs != w:
             return False
     return True
 
@@ -97,7 +107,8 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     d = n11 - n21, heard when i - d <= n21.  With s = |d| > 0 the jam bits
     split into s independent chains by residue mod s; level ``pos`` has
     chain index (pos - 1) // s.  Let a chain have K levels and M jam bits
-    that matter (positions <= min(n2, n11) if d > 0, <= n2 if d < 0).
+    that matter (positions <= top, where top = min(n2, n11) if d > 0 and
+    n2 if d < 0).
 
     - d > 0: the chain's level j counts iff its jam bit j is set (or
       j >= M) and jam bit j - 1 is not, so the optimum is ceil(M/2) if
@@ -110,22 +121,25 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     - d = 0: a jam bit both covers and lands on its level, so the optimum
       is max(n11 - n2, 0) with no jam.
 
-    K and M take at most two values each across residues, so the residues
-    form at most three groups, and each group's jam is its residue mask
-    times one alternating-block geometric series: O(1) big-int operations.
+    As level sets, the even chain indices are the even-indexed blocks of s
+    levels (``even_blocks``): below M are those within levels 1..top, below
+    min(M, K) those within 1..min(n2, n11).  For d > 0 a chain with K != M
+    also leaves out its last jam bit within 1..top, the one that would land
+    on a level in (top, n11]: the jam levels top - s + 1 .. n21.  That is
+    O(1) big-int operations per instance.
     """
     n11, n21, n2 = p.n11, p.n21, p.n2
     d = n11 - n21
-    s = abs(d)
-    top = min(n2, n11) if d > 0 else n2  # the last jam bit that matters
-    jam = 0
-    cuts = sorted({0, n11 % s, top % s, s}) if s else []
-    for lo, hi in zip(cuts, cuts[1:]):
-        k, m = ((n + s - 1 - lo) // s for n in (n11, top))  # K and M of residue lo
-        t = m - (k != m) if d > 0 else min(k, m)  # jam the even chain indices below t
-        jam |= (ones(hi) ^ ones(lo)) * (ones(2 * s * ((t + 1) // 2)) // ones(2 * s))
+    if d > 0:
+        top = n2 if n2 < n11 else n11
+        jam = even_blocks(d, top) & ~(ones(n21) ^ ones(top - d if top > d else 0))
+        landing = (jam & ones(n21)) << d
+    elif d:
+        jam = even_blocks(-d, n2 if n2 < n11 else n11)
+        landing = jam >> -d  # every jam bit is below n11 < n21, so heard
+    else:
+        jam = landing = 0
     # usable levels: covered at y2 and not hit by a jam bit heard at y1
-    landing = (jam & ones(n21)) << p.q - n21 >> p.q - n11
     message = ones(n11) & (jam | ~ones(n2)) & ~landing
     return message.bit_count(), Allocation(message, jam & message)
 
@@ -160,6 +174,9 @@ def run_verification(
     """Check construction/formula agreement, exact secrecy, decodability,
     and converse consistency over every instance with q <= max_q.
 
+    A seeded uniform sample of ``ROUNDTRIP_SAMPLES`` decodable schemes with
+    k > 0 is also decoded end to end through the channel map.
+
     With the oracle enabled, also checks that the oracle's best rate
     dominates the formula and respects the converse; strict oracle gaps
     are reported as findings, not failures.
@@ -168,6 +185,7 @@ def run_verification(
     rng = random.Random(seed)
     oracle_gaps: list[str] = []
     sampled: list[LinearScheme] = []
+    eligible = 0  # decodable schemes with k > 0 so far: the reservoir's population
     for p in iter_instances(max_q):
         run.instances += 1
         br = r_achievable(p)
@@ -192,8 +210,13 @@ def run_verification(
                 run.failures.append(f"{p}: constructed scheme leaks {leak} bits")
             if not decodable(s):
                 run.failures.append(f"{p}: constructed scheme is not decodable")
-            elif s.k and len(sampled) < ROUNDTRIP_SAMPLES and rng.random() < 0.02:
-                sampled.append(s)
+            elif s.k:
+                # reservoir sample: each such scheme is kept with the same probability
+                if eligible < ROUNDTRIP_SAMPLES:
+                    sampled.append(s)
+                elif (slot := rng.randrange(eligible + 1)) < ROUNDTRIP_SAMPLES:
+                    sampled[slot] = s
+                eligible += 1
         if with_oracle:
             rate, _w = oracle_best_rate(p)
             run.oracle_checked += 1
@@ -209,6 +232,7 @@ def run_verification(
                 oracle_gaps.append(
                     f"{p}: oracle reaches {rate}, formula gives {br.r_ach}"
                 )
+    sampled.sort(key=lambda s: (s.params.n11, s.params.n21, s.params.n2))  # grid order
     for s in sampled:
         if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):
             run.failures.append(f"{s.params}: roundtrip decoding failed")

@@ -445,14 +445,14 @@ class TestVerifyCommand:
         assert f"finding: {gaps} instances where the exhaustive oracle beats" in out
 
     def test_oracle_cap(self):
-        for max_q in ("41", "50"):
+        for max_q in ("65", "80"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--max-q", max_q, "--oracle"])
             assert exc.value.code == 2
 
     def test_scheme_cap(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--max-q", "41"])
+            main(["verify", "--max-q", "65"])
         assert exc.value.code == 2
 
     def test_grid_without_a_scheme_fails(self, capsys):

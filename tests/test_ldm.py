@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wiretap_helper import ChannelParams, ParameterError, ldm_channel
-from wiretap_helper.ldm import _added_rank
+from wiretap_helper.ldm import _added_rank, even_blocks
 
 
 def bits(*levels):
@@ -169,3 +169,27 @@ class TestChannelParams:
     def test_negative_gain_rejected(self):
         with pytest.raises(ParameterError):
             ChannelParams(3, -1, 2)
+
+    @pytest.mark.parametrize("gains,message", [
+        ((-1, 2, 3), "n11 must be a nonnegative integer, got -1"),
+        ((1, -2, -3), "n21 must be a nonnegative integer, got -2"),
+        ((1, 2, 3.0), "n2 must be a nonnegative integer, got 3.0"),
+        (("1", 2, 3), "n11 must be a nonnegative integer, got '1'"),
+        ((1, None, 3), "n21 must be a nonnegative integer, got None"),
+    ])
+    def test_first_bad_gain_is_named(self, gains, message):
+        with pytest.raises(ParameterError) as exc:
+            ChannelParams(*gains)
+        assert str(exc.value) == message
+
+    def test_int_subclasses_still_accepted(self):
+        # bool is an int: the fast path only skips the per-gain checks
+        assert ChannelParams(True, 0, 2).q == 2
+
+
+class TestEvenBlocks:
+    def test_matches_block_by_block_sum(self):
+        for width in range(1, 10):
+            for n in range(0, 70):
+                blocks = sum(((1 << width) - 1) << b for b in range(0, n, 2 * width))
+                assert even_blocks(width, n) == blocks & (1 << n) - 1, (width, n)

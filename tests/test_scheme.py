@@ -13,7 +13,9 @@ from wiretap_helper import (
     construct_allocation,
     decodable,
     l_func,
+    ldm_channel,
     leakage,
+    oracle_best_rate,
     phi1,
     phi2,
     r_achievable,
@@ -240,6 +242,65 @@ class TestBuildLinearScheme:
         assert s.B == tuple(b << p.q - n2 & full for b in jam)
         assert s.C == tuple(b << p.q - n11 & full for b in msg)
         assert s.D == tuple(b << p.q - n21 & full for b in jam)
+
+
+def level_bits(m):
+    return [1 << i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def assert_columns_are_channel_images(a, p):
+    # column j of a map is what the channel does to the j-th allocated level alone
+    s = build_linear_scheme(a, p)
+    msg = [ldm_channel(b, 0, p) for b in level_bits(a.message)]
+    jam = [ldm_channel(0, b, p) for b in level_bits(a.jam)]
+    assert (s.A, s.C) == (tuple(y2 for _, y2 in msg), tuple(y1 for y1, _ in msg)), (p, a)
+    assert (s.B, s.D) == (tuple(y2 for _, y2 in jam), tuple(y1 for y1, _ in jam)), (p, a)
+
+
+class TestColumnsAreChannelImages:
+    def test_constructed_and_oracle_allocations_q12(self):
+        for p in iter_instances(12):
+            if r_achievable(p).case_tag is not CaseTag.SINGULAR:
+                assert_columns_are_channel_images(construct_allocation(p), p)
+            assert_columns_are_channel_images(oracle_best_rate(p)[1], p)
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.integers(0, 64), st.integers(0, 64), st.integers(0, 64), st.data())
+    def test_random_masks_to_q64(self, n11, n21, n2, data):
+        a = Allocation(data.draw(st.integers(0, (1 << n11) - 1)),
+                       data.draw(st.integers(0, (1 << n2) - 1)))
+        assert_columns_are_channel_images(a, ChannelParams(n11, n21, n2))
+
+
+def partition_sum_allocation(p):
+    """Reference construction with the aligned message summed partition by
+    partition, as it was built before the geometric series."""
+    def ones(n):
+        return (1 << n) - 1
+
+    br = r_achievable(p)
+    n_common = p.n11 - br.r_private
+    gap = p.n11 - p.n21
+    private = ones(p.n11) & ~ones(n_common)
+    if br.case_tag is CaseTag.STRONG_HELPER:
+        message = ones(p.n11)
+    elif br.case_tag is CaseTag.ALIGNED:
+        delta = p.delta
+        phi1_branch = p.n11 > p.n2 and p.n11 > p.n21
+        top = max(n_common - delta, 0) if phi1_branch else n_common
+        message = sum(ones(delta) << b for b in range(0, top, 2 * delta)) & ones(top) | private
+    elif max(gap, p.n21) >= br.r_private:
+        message = ones(gap) | ones(p.n11) & ~ones(2 * gap)
+    else:
+        message = private
+    return Allocation(message, message & ones(p.n2))
+
+
+class TestSameAllocations:
+    def test_matches_partition_sum_reference_q40(self):
+        for p in iter_instances(40):
+            if r_achievable(p).case_tag is not CaseTag.SINGULAR:
+                assert construct_allocation(p) == partition_sum_allocation(p), p
 
 
 class TestAgainstConverse:

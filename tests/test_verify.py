@@ -357,6 +357,31 @@ class TestRunVerification:
         assert not run.ok
         assert any("no scheme was checked" in f for f in run.failures)
 
+    def test_roundtrip_sample_spans_the_grid(self, monkeypatch):
+        # a uniform sample of the decodable schemes with k > 0, not the first
+        # ones the grid reaches
+        seen = []
+        real = verify.simulate_roundtrip
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: seen.append(s) or real(s, *rest))
+        assert run_verification(24, seed=0).ok
+        assert len(seen) == len({s.params for s in seen}) == verify.ROUNDTRIP_SAMPLES == 25
+        assert all(s.k and decodable(s) for s in seen)
+        assert max(s.params.n11 for s in seen) >= 12
+        # an aligned scheme whose message spans several runs of levels
+        assert any(r_achievable(s.params).case_tag is CaseTag.ALIGNED
+                   and (s.allocation.message & ~(s.allocation.message << 1)).bit_count() > 2
+                   for s in seen)
+
+    def test_small_grid_roundtrips_every_scheme(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: seen.append(s.params) or True)
+        run_verification(2, seed=3)
+        eligible = [p for p in iter_instances(2)
+                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).k]
+        assert seen == eligible  # fewer than ROUNDTRIP_SAMPLES, in grid order
+
     def test_rate_kernel_runs_once_per_instance(self, monkeypatch):
         # the allocation is built from r_achievable's kernel result, not a second call
         calls = Counter()
