@@ -26,6 +26,7 @@ from .scheme import (
 )
 from .sweep import SweepRow, SweepSpec, run_sweep, write_csv, write_svg
 from .verify import (
+    OracleGap,
     VerificationRun,
     decodable,
     leakage,
@@ -34,7 +35,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "Allocation",
@@ -44,6 +45,7 @@ __all__ = [
     "GaussianParams",
     "GaussianRateBreakdown",
     "LinearScheme",
+    "OracleGap",
     "ParameterError",
     "RateBreakdown",
     "SingularCaseError",

@@ -8,15 +8,14 @@ about the constant's value and defaults it to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .ldm import ChannelParams
 
 
-@dataclass(frozen=True)
-class UpperBounds:
+class UpperBounds(NamedTuple):
     ub1: Fraction
     ub2: Fraction
     ub3: Fraction

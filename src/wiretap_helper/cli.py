@@ -8,6 +8,7 @@ variables, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -78,7 +79,11 @@ def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool) -> None:
                      help="constant-gap term added to Gaussian bounds (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wth`` parser, built once per process and shared by every ``main``
+    call: parsing leaves it unchanged, and the environment is read per call,
+    not here.  Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="wth",
         description="Secrecy rates, converse bounds, and exact scheme verification "

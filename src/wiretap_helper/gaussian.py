@@ -17,8 +17,8 @@ point, evaluated in the log domain so large SNR exponents cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .ldm import ChannelParams
@@ -35,22 +35,30 @@ def to_fraction(x: int | float | str | Fraction) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class GaussianParams:
-    """Gaussian instance: log2 of SNR1 plus the two gain-ratio exponents."""
-
+class _Exponents(NamedTuple):
     log_snr1: Fraction
     beta1: Fraction
     beta2: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "log_snr1", to_fraction(self.log_snr1))
-        object.__setattr__(self, "beta1", to_fraction(self.beta1))
-        object.__setattr__(self, "beta2", to_fraction(self.beta2))
-        if self.log_snr1.numerator <= 0:
+
+class GaussianParams(_Exponents):
+    """Gaussian instance: log2 of SNR1 plus the two gain-ratio exponents."""
+
+    __slots__ = ()
+
+    def __new__(cls, log_snr1, beta1, beta2) -> GaussianParams:
+        # each value is read exactly, by ``to_fraction``
+        log_snr1, beta1, beta2 = to_fraction(log_snr1), to_fraction(beta1), to_fraction(beta2)
+        if log_snr1.numerator <= 0:
             raise ParameterError("log_snr1 must be positive")
-        if self.beta1.numerator < 0 or self.beta2.numerator < 0:
+        if beta1.numerator < 0 or beta2.numerator < 0:
             raise ParameterError("beta exponents must be nonnegative")
+        return tuple.__new__(cls, (log_snr1, beta1, beta2))
+
+    @classmethod
+    def _make(cls, iterable) -> GaussianParams:
+        # ``_replace`` builds through ``_make``, so neither skips the checks
+        return cls(*iterable)
 
     @property
     def l_max(self) -> Fraction:
@@ -65,8 +73,7 @@ class GaussianParams:
         return d // abs(d - n) if n != d else math.floor(self.l_max)
 
 
-@dataclass(frozen=True)
-class GaussianRateBreakdown:
+class GaussianRateBreakdown(NamedTuple):
     """Rate split for a Gaussian instance.
 
     r_gross is the rate carried by the alignment structure itself;

@@ -13,30 +13,36 @@ of them, one per column, whose rank is found by Gaussian elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Deterministic gain triple; the eavesdropper hears both senders at ``n2``."""
-
+class _Gains(NamedTuple):
     n11: int
     n21: int
     n2: int
 
-    def __post_init__(self) -> None:
-        n11, n21, n2 = self.n11, self.n21, self.n2
+
+class ChannelParams(_Gains):
+    """Deterministic gain triple; the eavesdropper hears both senders at ``n2``."""
+
+    __slots__ = ()
+
+    def __new__(cls, n11: int, n21: int, n2: int) -> ChannelParams:
         # three plain nonnegative ints pass in one test; anything else is
         # checked gain by gain
-        if type(n11) is int and type(n21) is int and type(n2) is int and (n11 | n21 | n2) >= 0:
-            return
-        for name in ("n11", "n21", "n2"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ParameterError(f"{name} must be a nonnegative integer, got {v!r}")
+        if not (type(n11) is int and type(n21) is int and type(n2) is int
+                and (n11 | n21 | n2) >= 0):
+            for name, v in zip(cls._fields, (n11, n21, n2)):
+                if not isinstance(v, int) or v < 0:
+                    raise ParameterError(f"{name} must be a nonnegative integer, got {v!r}")
+        return tuple.__new__(cls, (n11, n21, n2))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> ChannelParams:
+        # ``_replace`` builds through ``_make``, so neither skips the checks
+        return cls(*iterable)
 
     @property
     def q(self) -> int:

@@ -19,7 +19,7 @@ exists; such instances are flagged as singular.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, SingularCaseError
 from .ldm import ChannelParams, even_blocks, ones
@@ -32,8 +32,7 @@ class CaseTag(enum.Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(NamedTuple):
     """Achievable secrecy rate of one instance, split by mechanism."""
 
     r_private: int
@@ -42,8 +41,7 @@ class RateBreakdown:
     case_tag: CaseTag
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """Level sets realizing a rate, as bitsets in ``ldm``'s convention (bit
     i is level i + 1): message levels of the user signal (1..n11, counted
     from the top of the received signal) and jam levels of the helper
@@ -53,8 +51,7 @@ class Allocation:
     jam: int
 
 
-@dataclass(frozen=True)
-class LinearScheme:
+class LinearScheme(NamedTuple):
     """GF(2) maps from message bits (k) and jam bits (m) to both receivers.
 
     A, B map message and jam to the eavesdropper's observation; C, D map

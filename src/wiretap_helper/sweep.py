@@ -12,10 +12,11 @@ its direct gain.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
-from typing import IO
+from types import MappingProxyType
+from typing import IO, NamedTuple
 
 from .bounds import _doubled_bounds, gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
@@ -29,13 +30,12 @@ GAUSS_AXES = ("beta1", "beta2")
 MAX_SWEEP_ROWS = 100_000
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     axis: str
     start: Fraction
     stop: Fraction
     step: Fraction
-    fixed: dict[str, Fraction] = field(default_factory=dict)
+    fixed: Mapping[str, Fraction] = MappingProxyType({})  # read-only, so safe to share
     log_snr1: Fraction = Fraction(40)
     const_c: Fraction = Fraction(0)
     asymptotic: bool = False
@@ -52,8 +52,7 @@ class SweepSpec:
         return [Fraction(a * db + k * b * da, da * db) for k in range(count)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis_value: Fraction
     r_ach: Fraction
     r_private: Fraction
@@ -134,11 +133,10 @@ def format_number(x: Fraction | int) -> str:
 
 
 def write_csv(rows: list[SweepRow], fh: IO[str]) -> None:
-    columns = [f.name for f in fields(SweepRow)]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(SweepRow._fields)
     for r in rows:
-        writer.writerow([format_number(getattr(r, c)) for c in columns[:-1]] + [r.case_tag])
+        writer.writerow([*map(format_number, r[:-1]), r.case_tag])
 
 
 def _svg_path(points: list[tuple[float, float]]) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError
@@ -150,16 +150,24 @@ def iter_instances(max_q: int):
         yield ChannelParams(n11, n21, n2)
 
 
-@dataclass
-class VerificationRun:
+class OracleGap(NamedTuple):
+    """An instance where the oracle's best rate beats the partition formula."""
+
+    params: ChannelParams
+    oracle_rate: int
+    formula_rate: int
+
+
+class VerificationRun(NamedTuple):
     """Aggregate result of sweeping the exact checks over a parameter grid."""
 
-    instances: int = 0
-    schemes_checked: int = 0
-    singular_instances: int = 0
-    oracle_checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
+    instances: int
+    schemes_checked: int
+    singular_instances: int
+    oracle_checked: int
+    failures: tuple[str, ...]
+    findings: tuple[str, ...]
+    oracle_gaps: tuple[OracleGap, ...]
 
     @property
     def ok(self) -> bool:
@@ -179,37 +187,40 @@ def run_verification(
 
     With the oracle enabled, also checks that the oracle's best rate
     dominates the formula and respects the converse; strict oracle gaps
-    are reported as findings, not failures.
+    are findings, not failures, and are kept in grid order as
+    ``oracle_gaps``.
     """
-    run = VerificationRun()
     rng = random.Random(seed)
-    oracle_gaps: list[str] = []
+    instances = schemes_checked = singular = oracle_checked = 0
+    failures: list[str] = []
+    findings: list[str] = []
+    oracle_gaps: list[OracleGap] = []
     sampled: list[LinearScheme] = []
     eligible = 0  # decodable schemes with k > 0 so far: the reservoir's population
     for p in iter_instances(max_q):
-        run.instances += 1
+        instances += 1
         br = r_achievable(p)
         twice_ub = min(_doubled_bounds(p.n11, p.n21, p.n2))
         if 2 * br.r_ach > twice_ub:
-            run.failures.append(
+            failures.append(
                 f"{p}: achievable {br.r_ach} exceeds converse {upper_bounds(p).min_ub}"
             )
         if br.case_tag is CaseTag.SINGULAR:
-            run.singular_instances += 1
+            singular += 1
         else:
             alloc = _allocation(p, br.r_private, br.case_tag)
             s = build_linear_scheme(alloc, p)
-            run.schemes_checked += 1
+            schemes_checked += 1
             if alloc.message.bit_count() != br.r_ach:
-                run.failures.append(
+                failures.append(
                     f"{p}: construction carries {alloc.message.bit_count()} bits, "
                     f"formula says {br.r_ach}"
                 )
             leak = leakage(s)
             if leak != 0:
-                run.failures.append(f"{p}: constructed scheme leaks {leak} bits")
+                failures.append(f"{p}: constructed scheme leaks {leak} bits")
             if not decodable(s):
-                run.failures.append(f"{p}: constructed scheme is not decodable")
+                failures.append(f"{p}: constructed scheme is not decodable")
             elif s.k:
                 # reservoir sample: each such scheme is kept with the same probability
                 if eligible < ROUNDTRIP_SAMPLES:
@@ -219,36 +230,37 @@ def run_verification(
                 eligible += 1
         if with_oracle:
             rate, _w = oracle_best_rate(p)
-            run.oracle_checked += 1
+            oracle_checked += 1
             if rate < br.r_ach:
-                run.failures.append(
+                failures.append(
                     f"{p}: oracle best {rate} below formula {br.r_ach}"
                 )
             if 2 * rate > twice_ub:
-                run.failures.append(
+                failures.append(
                     f"{p}: oracle best {rate} exceeds converse {upper_bounds(p).min_ub}"
                 )
             if rate > br.r_ach:
-                oracle_gaps.append(
-                    f"{p}: oracle reaches {rate}, formula gives {br.r_ach}"
-                )
+                oracle_gaps.append(OracleGap(p, rate, br.r_ach))
     sampled.sort(key=lambda s: (s.params.n11, s.params.n21, s.params.n2))  # grid order
     for s in sampled:
         if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):
-            run.failures.append(f"{s.params}: roundtrip decoding failed")
-    if run.schemes_checked == 0:
-        run.failures.append(
+            failures.append(f"{s.params}: roundtrip decoding failed")
+    if schemes_checked == 0:
+        failures.append(
             f"no scheme was checked: the grid q <= {max_q} has no non-singular instance"
         )
-    if run.singular_instances:
-        run.findings.append(
-            f"{run.singular_instances} singular instances (n11 == n21): no alignment "
+    if singular:
+        findings.append(
+            f"{singular} singular instances (n11 == n21): no alignment "
             "scheme; private-only rate reported"
         )
     if oracle_gaps:
         # the wording predates the closed-form oracle; scripts match it, so it stays
-        run.findings.append(
+        findings.append(
             f"{len(oracle_gaps)} instances where the exhaustive oracle beats the "
-            "partition formula (bit-level granularity): " + "; ".join(oracle_gaps[:10])
+            "partition formula (bit-level granularity): "
+            + "; ".join(f"{g.params}: oracle reaches {g.oracle_rate}, formula gives "
+                        f"{g.formula_rate}" for g in oracle_gaps[:10])
         )
-    return run
+    return VerificationRun(instances, schemes_checked, singular, oracle_checked,
+                           tuple(failures), tuple(findings), tuple(oracle_gaps))

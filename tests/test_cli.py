@@ -1,9 +1,13 @@
 """CLI behavior: families, sweeps, verification, exit codes, config."""
 
+import argparse
 import os
+import subprocess
+import sys
 import time
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -509,3 +513,59 @@ class TestEnvironmentPrecedence:
             main(argv)
         assert exc.value.code == 2
         assert f"environment variable {name}" in capsys.readouterr().err
+
+
+# usage errors first, then one call of every subcommand
+FIXED_COST_RUNS = [
+    ["rates", "--n11", "-1", "--n21", "2", "--n2", "3"],
+    ["verify", "--max-q", "65"],
+    ["rates", "--n11", "10", "--n21", "8", "--n2", "10"],
+    ["gaussian", "--log-snr1", "40", "--beta1", "0.75", "--beta2", "1"],
+    ["sweep", "--axis", "beta1", "--start", "0.5", "--stop", "0.6", "--step", "0.05",
+     "--beta2", "1", "--out", "-"],
+    ["verify", "--max-q", "3"],
+]
+
+
+def fresh_python(*args):
+    """A new interpreter with the package under test on its path, no ``WTH_``
+    variables, and help text wrapped at 80 columns."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WTH_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env["COLUMNS"] = "80"
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+class TestFixedCost:
+    """What every ``wth`` call pays before its own work."""
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        done = fresh_python("-S", "-c", (
+            "import sys; before = set(sys.modules); import wiretap_helper.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"[]\n"
+
+    def test_one_parser_serves_every_call(self, capsysbinary, monkeypatch):
+        first = [fresh_python("-m", "wiretap_helper.cli", *argv) for argv in FIXED_COST_RUNS]
+        for name in ("WTH_MAX_Q", "WTH_DEFAULT_LOG_SNR1"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        roots = []  # top-level parsers built from here on
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "wth":
+                roots.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv, want in zip(FIXED_COST_RUNS, first):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsysbinary.readouterr()
+            assert (code, out.out, out.err) == (want.returncode, want.stdout, want.stderr), argv
+        assert [c.returncode for c in first] == [2, 2, 0, 0, 0, 0]
+        assert len(roots) <= 1

@@ -1,7 +1,6 @@
 """Gaussian rate evaluation: levels, decoding bounds, and the closed form."""
 
 import math
-from dataclasses import astuple
 from fractions import Fraction as F
 
 import pytest
@@ -301,7 +300,7 @@ class TestIntegerPathsMatchFractions:
            st.builds(F, st.integers(-300, 300), st.integers(1, 99)),
            st.builds(F, st.integers(-300, 300), st.integers(1, 99)))
     def test_parameter_checks(self, log_snr1, beta1, beta2):
-        got = outcome(lambda: astuple(GaussianParams(log_snr1, beta1, beta2)))
+        got = outcome(lambda: tuple(GaussianParams(log_snr1, beta1, beta2)))
         assert got == outcome(fraction_params, log_snr1, beta1, beta2)
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)

@@ -16,6 +16,7 @@ from wiretap_helper import (
     ChannelParams,
     ContractError,
     LinearScheme,
+    OracleGap,
     build_linear_scheme,
     construct_allocation,
     decodable,
@@ -349,6 +350,22 @@ class TestRunVerification:
         assert run.schemes_checked == run.instances - singular
         assert run.singular_instances == singular
         assert any("singular" in f for f in run.findings)
+
+    def test_oracle_gaps_are_data(self):
+        # every instance where the oracle beats the formula, in grid order; the
+        # finding line is rendered from the first ten
+        run = run_verification(11, with_oracle=True)
+        want = [OracleGap(p, oracle_best_rate(p)[0], r_achievable(p).r_ach)
+                for p in iter_instances(11)]
+        assert run.oracle_gaps == tuple(g for g in want if g.oracle_rate > g.formula_rate)
+        assert len(run.oracle_gaps) == 10
+        shown = "; ".join(f"ChannelParams(n11={g.params.n11}, n21={g.params.n21}, "
+                          f"n2={g.params.n2}): oracle reaches {g.oracle_rate}, formula gives "
+                          f"{g.formula_rate}" for g in run.oracle_gaps)
+        assert run.findings[-1] == ("10 instances where the exhaustive oracle beats the "
+                                    "partition formula (bit-level granularity): " + shown)
+        assert len(run_verification(12, with_oracle=True).oracle_gaps) > 10
+        assert run_verification(11).oracle_gaps == ()
 
     def test_grid_without_a_scheme_is_not_ok(self):
         # q <= 0 holds only the singular instance (0, 0, 0)
