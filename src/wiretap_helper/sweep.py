@@ -73,6 +73,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     two other gains of a deterministic sweep, the other beta of a Gaussian
     one.  ``log_snr1``, ``const_c`` and ``asymptotic`` apply to Gaussian
     sweeps only.
+
+    Cells that depend only on the integer gain triple are computed once
+    per run of consecutive rows with that triple, so their cost scales with
+    the distinct triples, not the rows.  They are the bounds, ``min_ub``
+    and ``normalized_ub``, and on deterministic and asymptotic rows every
+    cell but ``axis_value``.  On either beta axis the triple never
+    decreases as the beta grows, so equal triples are consecutive.
+    Finite-SNR Gaussian rows still call ``gaussian_rate`` row by row.
     """
     gaussian = spec.axis in GAUSS_AXES
     if not gaussian and spec.axis not in DET_AXES:
@@ -81,36 +89,37 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for name in sorted(wanted ^ set(spec.fixed)):
         verb = "needs" if name in wanted else "takes no"
         raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
-    rows = []
+    per_row = gaussian and not spec.asymptotic  # rates from gaussian_rate, row by row
+    norm = spec.log_snr1.as_integer_ratio()
+    rows, p = [], None
     for v in spec.grid():
         params = {**spec.fixed, spec.axis: v}
+        last = p
         if gaussian:
             g = GaussianParams(spec.log_snr1, params["beta1"], params["beta2"])
             p = correspondence(g)
-            ub = gaussian_upper_bounds(p, spec.const_c)
         else:
             for name, x in params.items():
                 if x.denominator != 1:
                     raise ParameterError(f"{name} must be an integer, got {x}")
             p = ChannelParams(**{name: int(x) for name, x in params.items()})
-            ub = upper_bounds(p)
-        twice = _doubled_bounds(p.n11, p.n21, p.n2)
-        min_ub = (ub.ub1, ub.ub2, ub.ub3)[twice.index(min(twice))]
-        if gaussian and not spec.asymptotic:
+        if p != last:
+            ub = gaussian_upper_bounds(p, spec.const_c) if gaussian else upper_bounds(p)
+            twice = _doubled_bounds(p.n11, p.n21, p.n2)
+            min_ub = ub[twice.index(min(twice))]
+            if per_row:
+                normalized_ub = _normalized(min_ub, *norm)
+            else:
+                br = r_achievable(p)
+                r_ach, r_private, r_common = map(Fraction, (br.r_ach, br.r_private, br.r_common))
+                cells = (r_ach, r_private, r_common, *ub, min_ub,
+                         _normalized(r_ach, p.n11, 1), _normalized(min_ub, p.n11, 1),
+                         br.case_tag.value)
+        if per_row:
             br = gaussian_rate(g)
-            r_ach, r_private, r_common = br.r_gross, br.r_private, br.r_common
-            norm = spec.log_snr1.as_integer_ratio()
-        else:
-            br = r_achievable(p)
-            r_ach, r_private, r_common = map(Fraction, (br.r_ach, br.r_private, br.r_common))
-            norm = p.n11, 1
-        rows.append(SweepRow(
-            axis_value=v, r_ach=r_ach, r_private=r_private, r_common=r_common,
-            ub1=ub.ub1, ub2=ub.ub2, ub3=ub.ub3, min_ub=min_ub,
-            normalized_ach=_normalized(r_ach, *norm),
-            normalized_ub=_normalized(min_ub, *norm),
-            case_tag=br.case_tag.value,
-        ))
+            cells = (br.r_gross, br.r_private, br.r_common, *ub, min_ub,
+                     _normalized(br.r_gross, *norm), normalized_ub, br.case_tag.value)
+        rows.append(SweepRow(v, *cells))
     return rows
 
 

@@ -358,6 +358,24 @@ class TestSweep:
             assert run_cli(capsys, *argv)[0] == 0
 
 
+class TestLevelCap:
+    """A Gaussian query near beta1 = 1 exits 2 at once instead of summing
+    10^7 power levels for minutes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gaussian", "--log-snr1", "40", "--beta1", "0.9999999", "--beta2", "1"],
+        ["sweep", "--axis", "beta2", "--start", "1", "--stop", "1", "--step", "1",
+         "--beta1", "0.9999999", "--log-snr1", "40"],
+    ], ids=["gaussian", "sweep-row"])
+    def test_exits_2_in_bounded_time(self, capsys, argv):
+        began = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - began < 3
+        assert exc.value.code == 2
+        assert "10000000 power levels exceeds the cap of 1000000" in capsys.readouterr().err
+
+
 def six_decimals(x):
     """Reference: exact half-even rounding of a Fraction to six decimals."""
     n = round(x * 10**6)

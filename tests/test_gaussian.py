@@ -21,6 +21,7 @@ from wiretap_helper import (
     odd_level_sum,
     r_achievable,
 )
+from wiretap_helper import gaussian
 from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.gaussian import _log2_theta
 from wiretap_helper.scheme import _rate_kernel
@@ -191,6 +192,18 @@ class TestOddLevelSumBound:
         # beta1 = 3 gives no full level; it must fail like 1.5, not sum to 0
         with pytest.raises(ParameterError):
             odd_level_sum(GaussianParams(F(40), b1, F(1)))
+
+    def test_level_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "MAX_LEVELS", 4)
+        at_cap = GaussianParams(F(40), F(3, 4), F(1))  # 4 full levels
+        assert at_cap.full_levels == 4
+        assert odd_level_sum(at_cap) == level_rate(at_cap, 1) + level_rate(at_cap, 3)
+        assert gaussian_rate(at_cap).r_common_sum == odd_level_sum(at_cap)
+        past_cap = GaussianParams(F(40), F(4, 5), F(1))
+        with pytest.raises(ParameterError, match="over 5 power levels exceeds the cap of 4"):
+            odd_level_sum(past_cap)
+        with pytest.raises(ParameterError, match="cap of 4"):
+            gaussian_rate(past_cap)
 
 
 class TestNormalizedLimit:

@@ -78,6 +78,14 @@ GOLDEN = {
     "sweep --axis beta1 --start 1/9 --stop 7/3 --step 1/9 --beta2 5/4 --log-snr1 29/7 "
     "--const-c 2/9 --format svg":
         "dd54defbfe2c84bd94bc15f729d7406aa708bfea8cf061fa33b6ddedd6e128de",
+    # long runs of rows that share a gain triple, with rational L and c;
+    # recorded on the 0.12.0 code, which built every cell of every row
+    "sweep --axis beta1 --start 0 --stop 3 --step 1/300 --beta2 2/3 --log-snr1 17/2 "
+    "--const-c 3/4 --asymptotic":
+        "1a5021f5f9f315023e45325c64c85d4d28aa0d4c379a31eb554566cb46a49924",
+    "sweep --axis beta2 --start 0 --stop 2 --step 1/100 --beta1 0.99 --log-snr1 40 "
+    "--format svg":
+        "442033663343e89d1f35a3a10a3cc9152094ca703c277467e0c4dcca4d33cbd9",
     "gaussian --log-snr1 13/3 --beta1 5/7 --beta2 1/3 --const-c 1/3":
         "464fb125b188243dcb6e690bca817076b2487c3fe6b5f092dd6f8bfd711e778c",
     "verify --max-q 12 --seed 3":

@@ -1,0 +1,150 @@
+"""Sweep rows: cells shared by a run of equal gain triples, against the
+row-by-row loop they replaced."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from wiretap_helper import ChannelParams, GaussianParams, ParameterError, SweepSpec, sweep
+from wiretap_helper.bounds import _doubled_bounds, gaussian_upper_bounds, upper_bounds
+from wiretap_helper.gaussian import correspondence, gaussian_rate
+from wiretap_helper.scheme import r_achievable
+from wiretap_helper.sweep import DET_AXES, GAUSS_AXES, SweepRow, _normalized, run_sweep
+
+
+def row_by_row_sweep(spec):
+    """Reference: the 0.12.0 ``run_sweep``, which built every cell of every row."""
+    gaussian = spec.axis in GAUSS_AXES
+    if not gaussian and spec.axis not in DET_AXES:
+        raise ParameterError(f"unknown sweep axis {spec.axis!r}")
+    wanted = set(GAUSS_AXES if gaussian else DET_AXES) - {spec.axis}
+    for name in sorted(wanted ^ set(spec.fixed)):
+        verb = "needs" if name in wanted else "takes no"
+        raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
+    rows = []
+    for v in spec.grid():
+        params = {**spec.fixed, spec.axis: v}
+        if gaussian:
+            g = GaussianParams(spec.log_snr1, params["beta1"], params["beta2"])
+            p = correspondence(g)
+            ub = gaussian_upper_bounds(p, spec.const_c)
+        else:
+            for name, x in params.items():
+                if x.denominator != 1:
+                    raise ParameterError(f"{name} must be an integer, got {x}")
+            p = ChannelParams(**{name: int(x) for name, x in params.items()})
+            ub = upper_bounds(p)
+        twice = _doubled_bounds(p.n11, p.n21, p.n2)
+        min_ub = (ub.ub1, ub.ub2, ub.ub3)[twice.index(min(twice))]
+        if gaussian and not spec.asymptotic:
+            br = gaussian_rate(g)
+            r_ach, r_private, r_common = br.r_gross, br.r_private, br.r_common
+            norm = spec.log_snr1.as_integer_ratio()
+        else:
+            br = r_achievable(p)
+            r_ach, r_private, r_common = map(F, (br.r_ach, br.r_private, br.r_common))
+            norm = p.n11, 1
+        rows.append(SweepRow(
+            axis_value=v, r_ach=r_ach, r_private=r_private, r_common=r_common,
+            ub1=ub.ub1, ub2=ub.ub2, ub3=ub.ub3, min_ub=min_ub,
+            normalized_ach=_normalized(r_ach, *norm),
+            normalized_ub=_normalized(min_ub, *norm),
+            case_tag=br.case_tag.value,
+        ))
+    return rows
+
+
+def outcome(spec):
+    """Each version's rows with the type of every cell, or the ParameterError
+    it raises."""
+    result = []
+    for build in (run_sweep, row_by_row_sweep):
+        try:
+            rows = build(spec)
+        except ParameterError as exc:
+            result.append((ParameterError, str(exc)))
+        else:
+            result.append((rows, [tuple(map(type, r)) for r in rows]))
+    return result
+
+
+def fractions(num, den):
+    return st.builds(F, num, den)
+
+
+# denominators up to 24, so that a beta1 below one on the grid has at most
+# 24 * 24 levels
+steps = fractions(st.integers(1, 6), st.integers(1, 24))
+gauss_starts = fractions(st.integers(0, 72), st.integers(1, 24))
+fixed_betas = fractions(st.integers(0, 72), st.integers(1, 24))
+log_snr1s = fractions(st.integers(1, 400), st.integers(1, 9))
+consts = st.one_of(st.just(F(0)), fractions(st.integers(-3, 6), st.integers(1, 5)))
+
+
+class TestSharedCellsMatchRowByRow:
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.sampled_from(GAUSS_AXES), gauss_starts, steps, st.integers(0, 30),
+           st.sampled_from([0, F(1, 2)]), fixed_betas, log_snr1s, consts, st.booleans())
+    @example("beta1", F(0), F(1, 300), 900, 0, F(2, 3), F(17, 2), F(3, 4), True)
+    @example("beta2", F(0), F(1, 100), 200, 0, F(99, 100), F(40), F(0), False)
+    @example("beta1", F(1, 2), F(1, 10), 5, 0, F(1), F(40), F(-1, 3), False)
+    def test_gaussian_sweeps(self, axis, start, step, steps_on, overshoot, other, log_snr1,
+                             const_c, asymptotic):
+        stop = start + (steps_on + overshoot) * step
+        fixed = {({"beta1", "beta2"} - {axis}).pop(): other}
+        spec = SweepSpec(axis, start, stop, step, fixed, log_snr1=log_snr1,
+                         const_c=const_c, asymptotic=asymptotic)
+        got, want = outcome(spec)
+        assert got == want
+        if const_c < 0:
+            assert got[0] is ParameterError
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.sampled_from(DET_AXES), st.integers(0, 40), st.sampled_from([1, 2, 3, F(1, 2)]),
+           st.integers(0, 30), st.integers(0, 40), st.integers(0, 40))
+    def test_deterministic_sweeps(self, axis, start, step, steps_on, a, b):
+        others = [name for name in DET_AXES if name != axis]
+        spec = SweepSpec(axis, F(start), F(start + steps_on * step), F(step),
+                         {others[0]: F(a), others[1]: F(b)})
+        got, want = outcome(spec)
+        assert got == want
+
+
+FIGURE = SweepSpec("beta1", F("0.05"), F("2.5"), F("0.001"), {"beta2": F(1)}, log_snr1=F(40))
+
+
+def counted(monkeypatch, name):
+    """Record the first argument of every call of ``sweep.<name>``."""
+    seen, f = [], getattr(sweep, name)
+
+    def wrapper(*args):
+        seen.append(args[0])
+        return f(*args)
+
+    monkeypatch.setattr(sweep, name, wrapper)
+    return seen
+
+
+class TestCellsPerTriple:
+    """The 2,451-row figure sweep visits 99 gain triples (40, n21, 40)."""
+
+    @pytest.mark.parametrize("asymptotic", [False, True], ids=["finite-snr", "asymptotic"])
+    def test_figure_sweep(self, monkeypatch, asymptotic):
+        calls = {name: counted(monkeypatch, name)
+                 for name in ("gaussian_upper_bounds", "r_achievable", "gaussian_rate")}
+        rows = run_sweep(FIGURE._replace(asymptotic=asymptotic))
+        assert len(rows) == 2451
+        triples = calls["gaussian_upper_bounds"]
+        assert len(triples) == len(set(triples)) == 99
+        if asymptotic:
+            assert calls["r_achievable"] == triples
+            assert calls["gaussian_rate"] == []
+        else:
+            assert calls["r_achievable"] == []
+            assert len(calls["gaussian_rate"]) == 2451  # one per row
+
+    def test_deterministic_sweep_has_a_triple_per_row(self, monkeypatch):
+        calls = counted(monkeypatch, "upper_bounds")
+        spec = SweepSpec("n21", F(0), F(40), F(1), {"n11": F(20), "n2": F(15)})
+        assert len(run_sweep(spec)) == len(calls) == len(set(calls)) == 41
