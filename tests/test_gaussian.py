@@ -23,7 +23,7 @@ from wiretap_helper import (
 )
 from wiretap_helper import gaussian
 from wiretap_helper.bounds import _doubled_bounds
-from wiretap_helper.gaussian import _log2_theta
+from wiretap_helper.gaussian import _edge, _log2_1p_exp2, _log2_theta
 from wiretap_helper.scheme import _rate_kernel
 
 
@@ -51,18 +51,23 @@ class TestGaussianParams:
             gp(10, 1, 1).l_max
 
 
+def level_theta(g, level):
+    """log2 of the signal power of ``level``, from its two edges."""
+    return _log2_theta(_edge(g, level - 1), _edge(g, level))
+
+
 class TestTheta:
     """Signal power of one level, the difference of two SNR1 powers, in log2."""
 
     def test_first_level_power(self):
-        assert 2 ** _log2_theta(gp(20, 0.75, 1), 1) == pytest.approx(2**20 - 2**15, rel=1e-12)
+        assert 2 ** level_theta(gp(20, 0.75, 1), 1) == pytest.approx(2**20 - 2**15, rel=1e-12)
 
     def test_bottom_level_reaches_unit_power(self):
         # integer level count: the last level's lower edge is SNR^0 = 1
-        assert 2 ** _log2_theta(gp(20, 0.75, 1), 4) == pytest.approx(2**5 - 1, rel=1e-12)
+        assert 2 ** level_theta(gp(20, 0.75, 1), 4) == pytest.approx(2**5 - 1, rel=1e-12)
 
     def test_single_level_spans_everything_at_beta1_zero(self):
-        assert 2 ** _log2_theta(gp(12, 0, 1), 1) == pytest.approx(2**12 - 1, rel=1e-12)
+        assert 2 ** level_theta(gp(12, 0, 1), 1) == pytest.approx(2**12 - 1, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
@@ -206,6 +211,26 @@ class TestOddLevelSumBound:
             gaussian_rate(past_cap)
 
 
+class TestLevelWork:
+    @pytest.mark.parametrize("beta1,full", [(F(0), 1), (F(3, 4), 4), (F(4, 5), 5),
+                                            (F(5, 7), 3), (F(59, 60), 60)],
+                             ids=["0", "3/4", "4/5", "5/7", "59/60"])
+    def test_each_level_computes_its_two_edges_once(self, monkeypatch, beta1, full):
+        calls = []
+
+        def counted(g, level):
+            calls.append(level)
+            return _edge(g, level)
+
+        monkeypatch.setattr(gaussian, "_edge", counted)
+        g = GaussianParams(F(40), beta1, F(1))
+        assert g.full_levels == full
+        odd_level_sum(g)
+        # two edges per odd level, the level's top and bottom
+        assert len(calls) == 2 * math.ceil(full / 2)
+        assert sorted(calls) == sorted(e for l in range(1, full + 1, 2) for e in (l - 1, l))
+
+
 class TestNormalizedLimit:
     @pytest.mark.parametrize(
         "b1,b2",
@@ -329,3 +354,73 @@ class TestIntegerPathsMatchFractions:
             got = spec.grid()
             assert got == fraction_grid(spec)
             assert all(type(v) is F for v in got)
+
+
+# --- the per-level bounds against the 0.13.0 code, which computed each edge three times ---
+
+def three_edge(g, level):
+    try:
+        return float(g.log_snr1 * (1 - level * (1 - g.beta1)))
+    except OverflowError:
+        raise ParameterError("log_snr1 is too large for the per-level float bounds") from None
+
+
+def three_edge_theta(g, level):
+    hi, lo = three_edge(g, level - 1), three_edge(g, level)
+    ratio = 2.0 ** (lo - hi)
+    return hi + math.log1p(-ratio) / math.log(2) if ratio < 1 else -math.inf
+
+
+def three_edge_level_rate(g, level):
+    if g.beta1 >= 1:
+        raise ParameterError("power levels require beta1 < 1")
+    if not 1 <= level <= math.ceil(g.l_max):
+        raise ParameterError(f"level {level} out of range 1..{math.ceil(g.l_max)}")
+    noise = _log2_1p_exp2(1.0 + three_edge(g, level))
+    return max(0.0, three_edge_theta(g, level) - noise)
+
+
+def three_edge_odd_level_sum(g):
+    if g.beta1 >= 1:
+        raise ParameterError("power levels require beta1 < 1")
+    if g.full_levels > gaussian.MAX_LEVELS:
+        raise ParameterError(f"the odd-level sum over {g.full_levels} power levels exceeds "
+                             f"the cap of {gaussian.MAX_LEVELS} levels")
+    return sum(three_edge_level_rate(g, l) for l in range(1, g.full_levels + 1, 2))
+
+
+# beta1 < 1 with denominators up to 1000: up to 1000 levels, a partial top one
+# whenever (d - n) does not divide d
+betas_below_one_fine = st.integers(1, 1000).flatmap(
+    lambda d: st.builds(F, st.integers(0, d - 1), st.just(d)))
+
+
+class TestLevelRateMatchesThreeEdgeCode:
+    @settings(derandomize=True, max_examples=200, database=None, deadline=None)
+    @given(log_snr1s, betas_below_one_fine)
+    @example(F(100, 3), F(5, 7))
+    @example(F(4000), F(99, 100))
+    @example(F(10**400), F(1, 2))
+    @example(F(1, 10**400), F(999, 1000))
+    def test_every_level_and_the_sum_are_bit_identical(self, log_snr1, beta1):
+        g = GaussianParams(log_snr1, beta1, F(1))
+        top = math.ceil(g.l_max)
+        for level in range(0, top + 2):  # 0 and top + 1 are out of range
+            got = outcome(level_rate, g, level)
+            assert got == outcome(three_edge_level_rate, g, level), level
+        assert outcome(odd_level_sum, g) == outcome(three_edge_odd_level_sum, g)
+
+    @pytest.mark.parametrize("log_snr1,beta1,level,message", [
+        (F(40), F(1), 1, "power levels require beta1 < 1"),
+        (F(40), F(3, 2), 1, "power levels require beta1 < 1"),
+        (F(40), F(5, 7), 0, "level 0 out of range 1..4"),
+        (F(40), F(5, 7), 5, "level 5 out of range 1..4"),
+        (F(40), F(3, 4), 5, "level 5 out of range 1..4"),
+        (F(10**400), F(3, 4), 1, "log_snr1 is too large for the per-level float bounds"),
+        (F(10**400), F(3, 4), 4, "log_snr1 is too large for the per-level float bounds"),
+    ])
+    def test_same_errors(self, log_snr1, beta1, level, message):
+        g = GaussianParams(log_snr1, beta1, F(1))
+        got = outcome(level_rate, g, level)
+        assert got == (ParameterError, message)
+        assert got == outcome(three_edge_level_rate, g, level)

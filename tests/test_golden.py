@@ -88,6 +88,12 @@ GOLDEN = {
         "442033663343e89d1f35a3a10a3cc9152094ca703c277467e0c4dcca4d33cbd9",
     "gaussian --log-snr1 13/3 --beta1 5/7 --beta2 1/3 --const-c 1/3":
         "464fb125b188243dcb6e690bca817076b2487c3fe6b5f092dd6f8bfd711e778c",
+    # odd-level sums recorded on the 0.13.0 code, which computed each level
+    # edge three times: a partial top level at rational L, and 100 nonzero levels
+    "gaussian --log-snr1 100/3 --beta1 5/7 --beta2 2/3":
+        "c08f3b1b82c015f1fa9ef88c4904e252341278c4a12257f958ff637da4c5b3b1",
+    "gaussian --log-snr1 4000 --beta1 0.99 --beta2 1":
+        "202fe88f881459cddd8629add239b9f377df9f54e534cca6b219f20ac0fc7abd",
     "verify --max-q 12 --seed 3":
         "9016d53237514519cd6ee072a4bd2860a0d7ceaaed69cbb4a558c469093e48a0",
     "verify --max-q 10 --oracle --seed 5":
