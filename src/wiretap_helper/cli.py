@@ -242,7 +242,13 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A named subcommand parses its flags once, with its own parser; anything else,
+    # or a token left over, takes the full pass, so errors and help stay argparse's.
+    sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
+    if sub is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
     except ParameterError as exc:

@@ -1,10 +1,12 @@
 """CLI behavior: families, sweeps, verification, exit codes, config."""
 
 import argparse
+import io
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
@@ -587,3 +589,119 @@ class TestFixedCost:
             assert (code, out.out, out.err) == (want.returncode, want.stdout, want.stderr), argv
         assert [c.returncode for c in first] == [2, 2, 0, 0, 0, 0]
         assert len(roots) <= 1
+
+
+def reference_main(argv=None):
+    """``main`` as of 0.14.0: one full ``parse_args`` pass for every argv."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args, parser)
+    except ParameterError as exc:
+        parser.error(str(exc))
+
+
+def outcome(run, argv):
+    """Exit code, stdout and stderr of ``run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+RATES = ["rates", "--n11", "10", "--n21", "8", "--n2", "10"]
+GAUSSIAN = ["gaussian", "--log-snr1", "40", "--beta1", "0.75", "--beta2", "1"]
+SWEEP = ["sweep", "--axis", "beta1", "--start", "0.5", "--stop", "0.6", "--step", "0.05",
+         "--beta2", "1", "--out", "-"]
+PARITY_CORPUS = {
+    "rates": RATES,
+    "rates-equals": ["rates", "--n11=10", "--n21=8", "--n2=10"],
+    "gaussian": GAUSSIAN,
+    "gaussian-equals": ["gaussian", "--log-snr1=17/2", "--beta1=2/3", "--beta2=1",
+                        "--const-c=1/2"],
+    "sweep": SWEEP,
+    "sweep-equals": ["sweep", "--axis=beta1", "--start=0.5", "--stop=0.6", "--step=0.05",
+                     "--beta2=1", "--format=svg", "--out=-"],
+    "verify": ["verify", "--max-q", "3"],
+    "verify-equals": ["verify", "--max-q=3", "--oracle", "--seed=1"],
+    "abbreviated-flag": ["rates", "--n1", "5", "--n21", "8", "--n2", "10"],
+    "dashes-before-flags": ["rates", "--", "--n11", "10", "--n21", "8", "--n2", "10"],
+    "dashes-after-flags": RATES + ["--"],
+    "help-after-subcommand": ["rates", "-h"],
+    "help-after-flags": ["gaussian", "--beta1", "1", "-h"],
+    "trailing-unknown-flag": RATES + ["--bogus"],
+    "stray-positional": RATES[:3] + ["stray"] + RATES[3:],
+    "missing-required-flag": RATES[:5],
+    "bad-int": ["rates", "--n11", "x", "--n21", "8", "--n2", "10"],
+    "bad-rational": ["gaussian", "--beta1", "a/b", "--beta2", "1"],
+    "bad-axis-choice": ["sweep", "--axis", "n3", "--start", "0", "--stop", "1", "--step", "1"],
+    "empty": [],
+    "help": ["-h"],
+    "help-before-subcommand": ["-h", "rates"],
+    "unknown-subcommand": ["bogus"],
+    "subcommand-prefix": ["rat", "--n11", "10", "--n21", "8", "--n2", "10"],
+    "parameter-error": ["gaussian", "--log-snr1", "40", "--beta1", "0.9999999", "--beta2", "1"],
+}
+
+
+@st.composite
+def flag_argvs(draw, command, flags):
+    """``command`` with ``flags`` (name -> value strategy) in any order, each
+    as ``--flag value`` or ``--flag=value``, optional ones maybe left out, and
+    maybe one junk token at the end."""
+    argv = [command]
+    for name in draw(st.permutations(list(flags))):
+        value, required = flags[name]
+        if not required and draw(st.booleans()):
+            continue
+        text = str(draw(value))
+        argv += [f"{name}={text}"] if draw(st.booleans()) else [name, text]
+    junk = draw(st.sampled_from([None, "--bogus", "stray", "--", "-x", "--n1", "-h"]))
+    return argv + ([junk] if junk else [])
+
+
+GAINS = st.integers(0, 40)
+EXPONENTS = st.fractions(0, 3, max_denominator=12)
+RATES_ARGVS = flag_argvs("rates", {"--n11": (GAINS, True), "--n21": (GAINS, True),
+                                   "--n2": (GAINS, True)})
+GAUSSIAN_ARGVS = flag_argvs("gaussian", {
+    "--log-snr1": (st.fractions(1, 60, max_denominator=4), False),
+    "--beta1": (EXPONENTS, True), "--beta2": (EXPONENTS, True),
+    "--const-c": (st.fractions(0, 2, max_denominator=4), False)})
+
+
+class TestParseOnce:
+    """A named subcommand parses its flags once, with the bytes and exit code
+    of the full two-level pass."""
+
+    @pytest.mark.parametrize("argv", PARITY_CORPUS.values(), ids=PARITY_CORPUS.keys())
+    def test_matches_the_full_pass(self, argv):
+        assert outcome(main, list(argv)) == outcome(reference_main, list(argv))
+
+    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @given(st.one_of(RATES_ARGVS, GAUSSIAN_ARGVS))
+    def test_any_flag_order_matches_the_full_pass(self, argv):
+        assert outcome(main, list(argv)) == outcome(reference_main, list(argv))
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch):
+        for argv in (RATES, RATES + ["--bogus"], ["rates", "-h"]):
+            monkeypatch.setattr(sys, "argv", ["wth", *argv])
+            assert outcome(main, None) == outcome(reference_main, None)
+
+    def test_one_parse_per_valid_call(self, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert outcome(main, list(RATES))[0] == 0
+        assert calls == ["wth rates"]
+        assert outcome(main, RATES + ["--bogus"])[::2] == (
+            2, "usage: wth [-h] {rates,gaussian,sweep,verify} ...\n"
+               "wth: error: unrecognized arguments: --bogus\n")
