@@ -1,8 +1,6 @@
 """Command-line front end: rate reports, sweeps, and verification runs.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
-Configuration precedence is flags, then WTH_-prefixed environment
-variables, then built-in defaults.
 """
 
 from __future__ import annotations
@@ -19,11 +17,10 @@ from .errors import ParameterError
 from .gaussian import GaussianParams, correspondence, gaussian_rate, to_fraction
 from .ldm import ChannelParams
 from .scheme import CaseTag, r_achievable
-from .sweep import DET_AXES, GAUSS_AXES, SweepSpec, format_number, run_sweep, write_csv, write_svg
+from .sweep import (DEFAULT_LOG_SNR1, DET_AXES, GAUSS_AXES, SweepSpec, format_number,
+                    run_sweep, write_csv, write_svg)
 from .verify import run_verification
 
-ENV_LOG_SNR1 = "WTH_DEFAULT_LOG_SNR1"
-ENV_MAX_Q = "WTH_MAX_Q"
 SCHEME_CHECK_CAP = 64
 # Fraction("1e10000000") alone takes seconds, and printing such a value minutes
 MAX_DECIMAL_EXPONENT = 10_000
@@ -50,17 +47,6 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _env(parser: argparse.ArgumentParser, name: str, parse, default):
-    """The value of environment variable ``name`` read by its flag's parser."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return parse(raw)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"environment variable {name}: {exc}")
-
-
 def _add_det_flags(sub: argparse.ArgumentParser, required: bool) -> None:
     sub.add_argument("--n11", type=_nonneg_int, required=required, help="direct gain, bit levels")
     sub.add_argument("--n21", type=_nonneg_int, required=required,
@@ -69,8 +55,9 @@ def _add_det_flags(sub: argparse.ArgumentParser, required: bool) -> None:
                      help="common gain at the eavesdropper")
 
 
-def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool) -> None:
-    sub.add_argument("--log-snr1", type=_rational, dest="log_snr1",
+def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool,
+                     log_snr1: Fraction | None) -> None:
+    sub.add_argument("--log-snr1", type=_rational, dest="log_snr1", default=log_snr1,
                      help="log2 SNR of the direct link (Gaussian family)")
     sub.add_argument("--beta1", type=_rational, required=required, help="helper SNR exponent")
     sub.add_argument("--beta2", type=_rational, required=required,
@@ -82,21 +69,22 @@ def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``wth`` parser, built once per process and shared by every ``main``
-    call: parsing leaves it unchanged, and the environment is read per call,
-    not here.  Callers must not modify it."""
+    call: parsing leaves it unchanged.  Callers must not modify it.  Its
+    ``commands`` attribute maps each subcommand name to its parser."""
     parser = argparse.ArgumentParser(
         prog="wth",
         description="Secrecy rates, converse bounds, and exact scheme verification "
                     "for the deterministic wiretap channel with a helper.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     rates = sub.add_parser("rates", help="rate and bound report of a deterministic instance")
     _add_det_flags(rates, required=True)
     rates.set_defaults(run=_cmd_rates)
 
     gauss = sub.add_parser("gaussian", help="rate and bound report of a Gaussian instance")
-    _add_gauss_flags(gauss, required=True)
+    _add_gauss_flags(gauss, required=True, log_snr1=DEFAULT_LOG_SNR1)
     gauss.set_defaults(run=_cmd_gaussian)
 
     sweep = sub.add_parser("sweep", help="sweep one parameter and write CSV or SVG")
@@ -105,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--stop", type=_rational, required=True)
     sweep.add_argument("--step", type=_rational, required=True)
     _add_det_flags(sweep, required=False)
-    _add_gauss_flags(sweep, required=False)
+    # no default: a deterministic sweep must tell a given --log-snr1 from none
+    _add_gauss_flags(sweep, required=False, log_snr1=None)
     sweep.add_argument("--out", default="-", help="output path, '-' for stdout")
     sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
     sweep.add_argument("--asymptotic", action="store_true",
@@ -114,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(run=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the exact checks over a parameter grid")
-    verify.add_argument("--max-q", type=_nonneg_int, dest="max_q", default=None,
-                        help=f"grid cap, at most {SCHEME_CHECK_CAP} (env {ENV_MAX_Q}, default 8)")
+    verify.add_argument("--max-q", type=_nonneg_int, dest="max_q", default=8,
+                        help=f"grid cap, at most {SCHEME_CHECK_CAP} (default %(default)s)")
     verify.add_argument("--oracle", action="store_true",
                         help="also run the exact allocation oracle")
     verify.add_argument("--seed", type=int, default=0)
@@ -129,12 +118,6 @@ def _print_bound_block(ub, r_ach) -> None:
     print(f"ub3: {format_number(ub.ub3)}")
     print(f"min_ub: {format_number(ub.min_ub)}")
     print(f"tight: {'yes' if Fraction(r_ach) == ub.min_ub else 'no'}")
-
-
-def _log_snr1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Fraction:
-    if args.log_snr1 is not None:
-        return args.log_snr1
-    return _env(parser, ENV_LOG_SNR1, _rational, Fraction(40))
 
 
 def _cmd_rates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -155,10 +138,11 @@ def _cmd_rates(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    g = GaussianParams(_log_snr1(args, parser), args.beta1, args.beta2)
-    gb = gaussian_rate(g)
+    g = GaussianParams(args.log_snr1, args.beta1, args.beta2)
+    # the bounds check --const-c before the odd-level sum, which can take seconds
     cp = correspondence(g)
     ub = gaussian_upper_bounds(cp, args.const_c or 0)
+    gb = gaussian_rate(g)
     print("family: gaussian")
     print(f"log_snr1={format_number(g.log_snr1)} beta1={format_number(g.beta1)} "
           f"beta2={format_number(g.beta2)}")
@@ -184,7 +168,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     fixed = {a: Fraction(v) for a in DET_AXES + GAUSS_AXES if (v := getattr(args, a)) is not None}
     if args.axis in GAUSS_AXES:
         spec = SweepSpec(args.axis, args.start, args.stop, args.step, fixed,
-                         log_snr1=_log_snr1(args, parser), const_c=args.const_c or Fraction(0),
+                         log_snr1=DEFAULT_LOG_SNR1 if args.log_snr1 is None else args.log_snr1,
+                         const_c=args.const_c or Fraction(0),
                          asymptotic=args.asymptotic)
     else:
         for flag, given in (("--log-snr1", args.log_snr1 is not None),
@@ -224,11 +209,10 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    max_q = args.max_q if args.max_q is not None else _env(parser, ENV_MAX_Q, _nonneg_int, 8)
-    if max_q > SCHEME_CHECK_CAP:
+    if args.max_q > SCHEME_CHECK_CAP:
         parser.error(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")
-    run = run_verification(max_q, with_oracle=args.oracle, seed=args.seed)
-    print(f"instances checked: {run.instances} (q <= {max_q})")
+    run = run_verification(args.max_q, with_oracle=args.oracle, seed=args.seed)
+    print(f"instances checked: {run.instances} (q <= {args.max_q})")
     print(f"schemes built and verified: {run.schemes_checked}")
     if args.oracle:
         print(f"oracle searches: {run.oracle_checked}")
@@ -245,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # A named subcommand parses its flags once, with its own parser; anything else,
     # or a token left over, takes the full pass, so errors and help stay argparse's.
-    sub = parser._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    sub = parser.commands.get(argv[0]) if argv else None
     args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
     if sub is None or rest:
         args = parser.parse_args(argv)

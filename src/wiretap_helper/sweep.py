@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import IO, NamedTuple
 
-from .bounds import _doubled_bounds, gaussian_upper_bounds, upper_bounds
+from .bounds import gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
 from .gaussian import GaussianParams, correspondence, gaussian_rate
 from .ldm import ChannelParams
@@ -28,6 +28,7 @@ DET_AXES = ("n11", "n21", "n2")
 GAUSS_AXES = ("beta1", "beta2")
 
 MAX_SWEEP_ROWS = 100_000
+DEFAULT_LOG_SNR1 = Fraction(40)  # also the default of ``wth gaussian --log-snr1``
 
 
 class SweepSpec(NamedTuple):
@@ -36,7 +37,7 @@ class SweepSpec(NamedTuple):
     stop: Fraction
     step: Fraction
     fixed: Mapping[str, Fraction] = MappingProxyType({})  # read-only, so safe to share
-    log_snr1: Fraction = Fraction(40)
+    log_snr1: Fraction = DEFAULT_LOG_SNR1
     const_c: Fraction = Fraction(0)
     asymptotic: bool = False
 
@@ -105,8 +106,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             p = ChannelParams(**{name: int(x) for name, x in params.items()})
         if p != last:
             ub = gaussian_upper_bounds(p, spec.const_c) if gaussian else upper_bounds(p)
-            twice = _doubled_bounds(p.n11, p.n21, p.n2)
-            min_ub = ub[twice.index(min(twice))]
+            min_ub = ub.min_ub
             if per_row:
                 normalized_ub = _normalized(min_ub, *norm)
             else:

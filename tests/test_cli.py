@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wiretap_helper import ParameterError, SweepSpec, cli, run_sweep, sweep
+from wiretap_helper import ParameterError, SweepSpec, cli, gaussian, run_sweep, sweep
 from wiretap_helper.cli import main
 
 
@@ -377,6 +377,16 @@ class TestLevelCap:
         assert exc.value.code == 2
         assert "10000000 power levels exceeds the cap of 1000000" in capsys.readouterr().err
 
+    def test_bad_const_c_exits_before_the_level_sum(self, capsys, monkeypatch):
+        def no_sum(g):
+            raise AssertionError("odd_level_sum ran before --const-c was checked")
+
+        monkeypatch.setattr(gaussian, "odd_level_sum", no_sum)
+        with pytest.raises(SystemExit) as exc:
+            main(["gaussian", "--beta1", "0.99999", "--beta2", "1", "--const-c", "-1"])
+        assert exc.value.code == 2
+        assert "the gap constant c must be nonnegative" in capsys.readouterr().err
+
 
 def six_decimals(x):
     """Reference: exact half-even rounding of a Fraction to six decimals."""
@@ -488,11 +498,8 @@ class TestVerifyCommand:
 
 
 class TestEnvironmentPrecedence:
-    def test_env_supplies_log_snr1(self, capsys, monkeypatch):
-        monkeypatch.setenv("WTH_DEFAULT_LOG_SNR1", "20")
-        code, out, _ = run_cli(capsys, "gaussian", "--beta1", "0.75", "--beta2", "1")
-        assert code == 0
-        assert "log_snr1=20" in out
+    """Flags and their defaults are the only configuration: the ``WTH_``
+    variables that 0.15.0 read are ignored."""
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WTH_DEFAULT_LOG_SNR1", "20")
@@ -501,14 +508,7 @@ class TestEnvironmentPrecedence:
         assert code == 0
         assert "log_snr1=40" in out
 
-    def test_env_supplies_max_q(self, capsys, monkeypatch):
-        monkeypatch.setenv("WTH_MAX_Q", "3")
-        code, out, _ = run_cli(capsys, "verify")
-        assert code == 0
-        assert "q <= 3" in out
-
-    def test_default_log_snr1_is_40(self, capsys, monkeypatch):
-        monkeypatch.delenv("WTH_DEFAULT_LOG_SNR1", raising=False)
+    def test_default_log_snr1_is_40(self, capsys):
         code, out, _ = run_cli(capsys, "gaussian", "--beta1", "3", "--beta2", "1")
         assert code == 0
         assert "log_snr1=40" in out
@@ -520,19 +520,15 @@ class TestEnvironmentPrecedence:
         assert code == 0
         assert len(out.splitlines()) == 3
 
-    @pytest.mark.parametrize("name,value,argv", [
-        ("WTH_MAX_Q", "abc", ["verify"]),
-        ("WTH_MAX_Q", "-3", ["verify"]),
-        ("WTH_DEFAULT_LOG_SNR1", "1/0", ["gaussian", "--beta1", "0.75", "--beta2", "1"]),
-        ("WTH_DEFAULT_LOG_SNR1", "1e1000000", ["gaussian", "--beta1", "0.75", "--beta2", "1"]),
-    ], ids=["max-q-not-int", "max-q-negative", "log-snr1-zero-denominator",
-            "log-snr1-huge-exponent"])
-    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch, name, value, argv):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"environment variable {name}" in capsys.readouterr().err
+    def test_env_values_are_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("WTH_MAX_Q", "3")
+        monkeypatch.setenv("WTH_DEFAULT_LOG_SNR1", "abc")
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        assert "instances checked: 729 (q <= 8)" in out
+        code, out, _ = run_cli(capsys, "gaussian", "--beta1", "0.75", "--beta2", "1")
+        assert code == 0
+        assert "log_snr1=40" in out
 
 
 # usage errors first, then one call of every subcommand
@@ -548,9 +544,9 @@ FIXED_COST_RUNS = [
 
 
 def fresh_python(*args):
-    """A new interpreter with the package under test on its path, no ``WTH_``
-    variables, and help text wrapped at 80 columns."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("WTH_")}
+    """A new interpreter with the package under test on its path and help
+    text wrapped at 80 columns."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     env["COLUMNS"] = "80"
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
@@ -568,8 +564,6 @@ class TestFixedCost:
 
     def test_one_parser_serves_every_call(self, capsysbinary, monkeypatch):
         first = [fresh_python("-m", "wiretap_helper.cli", *argv) for argv in FIXED_COST_RUNS]
-        for name in ("WTH_MAX_Q", "WTH_DEFAULT_LOG_SNR1"):
-            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("COLUMNS", "80")
         roots = []  # top-level parsers built from here on
         init = argparse.ArgumentParser.__init__
@@ -705,3 +699,16 @@ class TestParseOnce:
         assert outcome(main, RATES + ["--bogus"])[::2] == (
             2, "usage: wth [-h] {rates,gaussian,sweep,verify} ...\n"
                "wth: error: unrecognized arguments: --bogus\n")
+
+    def test_one_parse_without_argparse_internals(self, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        monkeypatch.delattr(cli.build_parser(), "_subparsers")
+        assert outcome(main, list(RATES))[0] == 0
+        assert calls == ["wth rates"]
