@@ -233,10 +233,11 @@ def main(argv: list[str] | None = None) -> int:
     args, rest = sub.parse_known_args(argv[1:]) if sub else (None, None)
     if sub is None or rest:
         args = parser.parse_args(argv)
-    try:
-        return args.run(args, parser)
+        sub = parser.commands[args.command]  # a subparser's namespace has no command
+    try:  # errors found after parsing print the subcommand's usage, as argparse's own do
+        return args.run(args, sub)
     except ParameterError as exc:
-        parser.error(str(exc))
+        sub.error(str(exc))
 
 
 def entry() -> None:

@@ -24,9 +24,9 @@ from .errors import ParameterError
 from .ldm import ChannelParams
 from .scheme import CaseTag, _rate_kernel
 
-# ``odd_level_sum`` evaluates the odd levels one by one: 10**6 full levels take
-# about 8 s on a 2-vCPU Xeon host, so a sum over more raises instead of running
-# for minutes
+# ``odd_level_sum`` evaluates the odd levels one by one: 10**6 full levels took
+# from 7 to 15 s on shared 2-vCPU Xeon hosts, depending on the host and its load,
+# so a sum over more raises instead of running for minutes
 MAX_LEVELS = 10**6
 
 

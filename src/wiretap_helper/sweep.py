@@ -11,8 +11,7 @@ its direct gain.
 
 from __future__ import annotations
 
-import csv
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
@@ -141,11 +140,15 @@ def format_number(x: Fraction | int) -> str:
     return ("-" if n < 0 else "") + whole + (f".{frac:06d}" if d > 1 else "")
 
 
-def write_csv(rows: list[SweepRow], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SweepRow._fields)
+def write_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
+    """Header and one line per row; no field ever needs quoting.  A cell that is
+    the very object the row above holds in its column reuses that row's text."""
+    fh.write(",".join(SweepRow._fields) + "\n")
+    last = texts = (None,) * 10  # no cell is None
     for r in rows:
-        writer.writerow([*map(format_number, r[:-1]), r.case_tag])
+        texts = [t if x is y else format_number(x) for x, y, t in zip(r[:-1], last, texts)]
+        fh.write(",".join([*texts, r.case_tag]) + "\n")
+        last = r
 
 
 def _svg_path(points: list[tuple[float, float]]) -> str:

@@ -586,13 +586,15 @@ class TestFixedCost:
 
 
 def reference_main(argv=None):
-    """``main`` as of 0.14.0: one full ``parse_args`` pass for every argv."""
+    """``main`` as of 0.14.0: one full ``parse_args`` pass for every argv;
+    errors found after parsing go to the subcommand's parser, as in 0.17.0."""
     parser = cli.build_parser()
     args = parser.parse_args(argv)
+    sub = parser.commands[args.command]
     try:
-        return args.run(args, parser)
+        return args.run(args, sub)
     except ParameterError as exc:
-        parser.error(str(exc))
+        sub.error(str(exc))
 
 
 def outcome(run, argv):
@@ -712,3 +714,22 @@ class TestParseOnce:
         monkeypatch.delattr(cli.build_parser(), "_subparsers")
         assert outcome(main, list(RATES))[0] == 0
         assert calls == ["wth rates"]
+
+
+class TestSubcommandUsage:
+    """An error found after parsing prints the usage line of the subcommand
+    that found it, as argparse's own errors for that subcommand do."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["verify", "--max-q", "65"], "verification grids are capped at max-q 64"),
+        (["gaussian", "--log-snr1", "40", "--beta1", "0.9999999", "--beta2", "1"],
+         "the odd-level sum over 10000000 power levels exceeds the cap of 1000000 levels"),
+        (["sweep", "--axis", "n21", "--start", "0", "--stop", "1", "--step", "1",
+          "--n11", "3", "--n2", "2", "--asymptotic"],
+         "--asymptotic applies only to a sweep over beta1 or beta2"),
+    ], ids=["verify-cap", "gaussian-level-cap", "sweep-flag"])
+    def test_error_prints_the_subcommand_usage(self, argv, error):
+        code, out, err = outcome(main, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: wth {argv[0]} [-h]")
+        assert err.endswith(f"\nwth {argv[0]}: error: {error}\n")

@@ -1,6 +1,10 @@
 """Sweep rows: cells shared by a run of equal gain triples, against the
-row-by-row loop they replaced."""
+row-by-row loop they replaced; the CSV writer, against the ``csv.writer``
+version it replaced."""
 
+import csv
+import io
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from wiretap_helper import ChannelParams, GaussianParams, ParameterError, SweepSpec, sweep
 from wiretap_helper.bounds import _doubled_bounds, gaussian_upper_bounds, upper_bounds
 from wiretap_helper.gaussian import correspondence, gaussian_rate
-from wiretap_helper.scheme import r_achievable
-from wiretap_helper.sweep import DET_AXES, GAUSS_AXES, SweepRow, _normalized, run_sweep
+from wiretap_helper.scheme import CaseTag, r_achievable
+from wiretap_helper.sweep import (DET_AXES, GAUSS_AXES, SweepRow, _normalized, run_sweep,
+                                  write_csv)
 
 
 def row_by_row_sweep(spec):
@@ -148,3 +153,69 @@ class TestCellsPerTriple:
         calls = counted(monkeypatch, "upper_bounds")
         spec = SweepSpec("n21", F(0), F(40), F(1), {"n11": F(20), "n2": F(15)})
         assert len(run_sweep(spec)) == len(calls) == len(set(calls)) == 41
+
+
+def csv_writer_csv(rows, fh):
+    """Reference: the 0.16.0 ``write_csv``, which formatted every cell of every row."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(SweepRow._fields)
+    for r in rows:
+        writer.writerow([*map(sweep.format_number, r[:-1]), r.case_tag])
+
+
+def csv_text(write, rows):
+    fh = io.StringIO()
+    write(rows, fh)
+    return fh.getvalue()
+
+
+LONG = 10 ** sys.get_int_max_str_digits()  # str() refuses ints this long
+cell_values = st.one_of(
+    st.integers(-10**9, 10**9),
+    fractions(st.integers(-10**9, 10**9), st.integers(1, 10**4)),
+    st.integers(LONG, 10 * LONG).map(lambda n: -n),
+    fractions(st.integers(LONG, 10 * LONG), st.integers(1, 10**4)),
+    st.just(F(0)),
+)
+CASE_TAGS = [tag.value for tag in CaseTag]
+
+
+@st.composite
+def sweep_rows(draw):
+    """Rows whose cells are new values, the very object of the row above, or
+    an equal but distinct object."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = []
+        for col in range(len(SweepRow._fields) - 1):
+            how = draw(st.sampled_from(["new", "shared", "equal"]) if rows else st.just("new"))
+            x = rows[-1][col] if rows else None
+            if how == "shared":
+                cells.append(x)
+            elif how == "equal":
+                cells.append(F(x.numerator, x.denominator))
+            else:
+                cells.append(draw(cell_values))
+        rows.append(SweepRow(*cells, draw(st.sampled_from(CASE_TAGS))))
+    return rows
+
+
+class TestCsvWriter:
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(sweep_rows())
+    @example([])
+    def test_matches_the_csv_writer_version(self, rows):
+        want = csv_text(csv_writer_csv, rows)
+        assert csv_text(write_csv, rows) == want
+        assert csv_text(write_csv, (r for r in rows)) == want
+
+    @pytest.mark.parametrize("asymptotic,calls", [(False, 12_750), (True, 3_342)],
+                             ids=["finite-snr", "asymptotic"])
+    def test_figure_formats_each_distinct_cell_once(self, monkeypatch, asymptotic, calls):
+        rows = run_sweep(FIGURE._replace(asymptotic=asymptotic))
+        seen = counted(monkeypatch, "format_number")
+        text = csv_text(write_csv, rows)
+        assert len(seen) == calls
+        seen.clear()
+        assert csv_text(csv_writer_csv, rows) == text
+        assert len(seen) == 24_510  # ten cells of each of the 2,451 rows
