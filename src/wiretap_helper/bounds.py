@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParameterError
+from .gaussian import to_fraction
 from .ldm import ChannelParams
 
 
@@ -43,9 +44,10 @@ def upper_bounds(p: ChannelParams) -> UpperBounds:
     return UpperBounds(*(Fraction(x, 2) for x in _doubled_bounds(p.n11, p.n21, p.n2)))
 
 
-def gaussian_upper_bounds(p: ChannelParams, c: Fraction | int = 0) -> UpperBounds:
-    """Deterministic bounds plus the constant-gap term c (c >= 0)."""
-    cn, cd = Fraction(c).as_integer_ratio()
+def gaussian_upper_bounds(p: ChannelParams, c: Fraction | float | int = 0) -> UpperBounds:
+    """Deterministic bounds plus the constant-gap term c (c >= 0), read
+    exactly by ``to_fraction``: a float c = 0.1 means 1/10."""
+    cn, cd = to_fraction(c).as_integer_ratio()
     if cn < 0:
         raise ParameterError("the gap constant c must be nonnegative")
     return UpperBounds(*(Fraction(x * cd + 2 * cn, 2 * cd)

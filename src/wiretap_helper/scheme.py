@@ -114,14 +114,12 @@ def _rate_kernel(n11: int, n21: int, n2: int) -> tuple[int, int, CaseTag]:
     scaled to a common denominator.
     """
     rp = max(n11 - n2, 0)
-    if n11 == 0:
-        return 0, 0, CaseTag.STRONG_HELPER if n21 > 0 else CaseTag.SINGULAR
+    if n11 == n21:
+        return rp, 0, CaseTag.SINGULAR
     if 3 * n21 < 2 * n11:
         return rp, max(n11 - n21, n21, rp) - rp, CaseTag.WEAK_HELPER
     if n21 >= 2 * n11:
         return rp, n11 - rp, CaseTag.STRONG_HELPER
-    if n11 == n21:
-        return rp, 0, CaseTag.SINGULAR
     phi = phi1 if _uses_phi1(n11, n21, n2) else phi2
     return rp, phi(n11 - rp, abs(n11 - n21)), CaseTag.ALIGNED
 

@@ -89,6 +89,11 @@ class TestGaussianUpperBounds:
         ub = gaussian_upper_bounds(ChannelParams(4, 8, 4), Fraction(1, 2))
         assert ub.ub2 == Fraction(9, 2)
 
+    def test_float_constant_is_read_as_its_decimal(self):
+        # 0.1 means 1/10, as in GaussianParams, not the binary float's value
+        ub = gaussian_upper_bounds(ChannelParams(10, 8, 10), 0.1)
+        assert ub.ub1 == Fraction(61, 10)
+
     def test_negative_constant_rejected(self):
         with pytest.raises(ParameterError):
             gaussian_upper_bounds(ChannelParams(4, 8, 4), -1)

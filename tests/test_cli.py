@@ -592,7 +592,7 @@ def reference_main(argv=None):
     args = parser.parse_args(argv)
     sub = parser.commands[args.command]
     try:
-        return args.run(args, sub)
+        return args.run(args)
     except ParameterError as exc:
         sub.error(str(exc))
 

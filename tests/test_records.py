@@ -52,7 +52,7 @@ RECORDS = {
                 "normalized_ach", "normalized_ub", "case_tag")),
     VerificationRun: (lambda: run_verification(6, with_oracle=True),
                       ("instances", "schemes_checked", "singular_instances", "oracle_checked",
-                       "failures", "findings", "oracle_gaps")),
+                       "failures", "oracle_gaps")),
     OracleGap: (lambda: run_verification(6, with_oracle=True).oracle_gaps[0],
                 ("params", "oracle_rate", "formula_rate")),
 }

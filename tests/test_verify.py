@@ -17,6 +17,7 @@ from wiretap_helper import (
     ContractError,
     LinearScheme,
     OracleGap,
+    ParameterError,
     build_linear_scheme,
     construct_allocation,
     decodable,
@@ -339,7 +340,7 @@ class TestRankIdentityAgainstEnumeration:
 
 
 class TestRunVerification:
-    def test_small_grid_passes(self):
+    def test_small_grid_passes(self, capsys):
         run = run_verification(6, with_oracle=True, seed=1)
         assert run.ok
         assert run.instances == 7**3
@@ -349,11 +350,15 @@ class TestRunVerification:
         )
         assert run.schemes_checked == run.instances - singular
         assert run.singular_instances == singular
-        assert any("singular" in f for f in run.findings)
+        # the CLI renders the finding line from the count
+        assert main(["verify", "--max-q", "6", "--oracle", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert (f"finding: {singular} singular instances (n11 == n21): no alignment "
+                "scheme; private-only rate reported\n") in out
 
-    def test_oracle_gaps_are_data(self):
+    def test_oracle_gaps_are_data(self, capsys):
         # every instance where the oracle beats the formula, in grid order; the
-        # finding line is rendered from the first ten
+        # CLI renders the finding line from the first ten
         run = run_verification(11, with_oracle=True)
         want = [OracleGap(p, oracle_best_rate(p)[0], r_achievable(p).r_ach)
                 for p in iter_instances(11)]
@@ -362,10 +367,20 @@ class TestRunVerification:
         shown = "; ".join(f"ChannelParams(n11={g.params.n11}, n21={g.params.n21}, "
                           f"n2={g.params.n2}): oracle reaches {g.oracle_rate}, formula gives "
                           f"{g.formula_rate}" for g in run.oracle_gaps)
-        assert run.findings[-1] == ("10 instances where the exhaustive oracle beats the "
-                                    "partition formula (bit-level granularity): " + shown)
+        assert main(["verify", "--max-q", "11", "--oracle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("finding: 10 instances where the exhaustive oracle beats the "
+                "partition formula (bit-level granularity): " + shown) in lines
         assert len(run_verification(12, with_oracle=True).oracle_gaps) > 10
         assert run_verification(11).oracle_gaps == ()
+
+    def test_grid_cap_is_checked_before_any_instance(self, monkeypatch):
+        def no_instances(max_q):
+            raise AssertionError("an instance was built past the grid cap")
+
+        monkeypatch.setattr(verify, "iter_instances", no_instances)
+        with pytest.raises(ParameterError, match="capped at max-q 64"):
+            run_verification(verify.SCHEME_CHECK_CAP + 1)
 
     def test_grid_without_a_scheme_is_not_ok(self):
         # q <= 0 holds only the singular instance (0, 0, 0)
