@@ -96,12 +96,15 @@ def _added_rank(base: Iterable[int], extra: Iterable[int]) -> int:
     """rank([base | extra]) - rank(base) over GF(2), by one greedy elimination:
     the pivots found after the columns of ``base`` count the rank ``extra`` adds."""
     pivots: dict[int, int] = {}  # leading bit -> reduced column
-    sizes = []
-    for cols in (base, extra):
-        for v in cols:
-            while v and (h := v.bit_length() - 1) in pivots:
-                v ^= pivots[h]
-            if v:
-                pivots[h] = v
-        sizes.append(len(pivots))
-    return sizes[1] - sizes[0]
+    for v in base:
+        while v and (h := v.bit_length() - 1) in pivots:
+            v ^= pivots[h]
+        if v:
+            pivots[h] = v
+    base_rank = len(pivots)
+    for v in extra:
+        while v and (h := v.bit_length() - 1) in pivots:
+            v ^= pivots[h]
+        if v:
+            pivots[h] = v
+    return len(pivots) - base_rank

@@ -176,7 +176,9 @@ def _allocation(p: ChannelParams, rp: int, tag: CaseTag) -> Allocation:
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     """Compile an allocation into the four channel-induced GF(2) maps: one
     column per set bit of a level mask, shifted down by q - gain and
-    truncated at q (a level below the noise floor gives a zero column)."""
+    truncated at q (a level below the noise floor gives a zero column).
+    Each run of consecutive levels compiles as one slice of a table of unit
+    columns, so the cost is O(runs) Python steps, not O(levels)."""
     message, jam, n11, n21, n2 = a.message, a.jam, p.n11, p.n21, p.n2
     if message < 0 or jam < 0 or message >> n11 or jam >> n2:
         for name, mask, gain in (("message", message, n11), ("jam", jam, n2)):
@@ -188,14 +190,30 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     return LinearScheme(A, B, C, D, a, p)
 
 
+# Unit-column tables by q, kept for q <= 64: the verification grid cap
+# (``verify.SCHEME_CHECK_CAP``).  A larger q builds its table for one call.
+_TABLE_CAP = 64
+_UNIT_COLUMNS: dict[int, tuple[int, ...]] = {}
+
+
 def _columns(mask: int, shift1: int, shift2: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The columns of one level mask under two shifts, in one pass over its
-    set bits; a level shifted to 2^q or beyond gives a zero column."""
-    full = (1 << q) - 1
-    one, two = [], []
+    """The columns of a level mask within 1..q under two shifts of at most q.
+
+    Entry j of the unit-column table is the column of a bit shifted to bit
+    j: 2^j for j < q, and zero for the q bits past the noise floor.  Each
+    run of consecutive set bits lo..hi - 1 is one table slice
+    [lo + shift, hi + shift)."""
+    units = _UNIT_COLUMNS.get(q)
+    if units is None:
+        units = tuple([1 << j for j in range(q)]) + (0,) * q
+        if q <= _TABLE_CAP:
+            _UNIT_COLUMNS[q] = units
+    one = two = ()
     while mask:
-        b = mask & -mask
-        one.append(b << shift1 & full)
-        two.append(b << shift2 & full)
-        mask ^= b
-    return tuple(one), tuple(two)
+        low = mask & -mask
+        rest = mask & (mask + low)  # the carry clears the lowest run
+        lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
+        one += units[lo + shift1:hi + shift1]
+        two += units[lo + shift2:hi + shift2]
+        mask = rest
+    return one, two

@@ -1,7 +1,10 @@
 """Rate formulas and the partition-aligned allocation construction."""
 
+import gc
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wiretap_helper import (
     Allocation,
@@ -21,7 +24,8 @@ from wiretap_helper import (
     r_achievable,
     upper_bounds,
 )
-from wiretap_helper.verify import iter_instances
+from wiretap_helper import scheme
+from wiretap_helper.verify import SCHEME_CHECK_CAP, iter_instances
 
 
 def mask(*levels):
@@ -242,6 +246,83 @@ class TestBuildLinearScheme:
         assert s.B == tuple(b << p.q - n2 & full for b in jam)
         assert s.C == tuple(b << p.q - n11 & full for b in msg)
         assert s.D == tuple(b << p.q - n21 & full for b in jam)
+
+
+def per_bit_columns(mask, shift1, shift2, q):
+    """Reference for ``scheme._columns``: every set bit shifted on its own,
+    truncated at q."""
+    full = (1 << q) - 1
+    levels = [1 << i for i in range(q) if mask >> i & 1]
+    return (tuple(b << shift1 & full for b in levels),
+            tuple(b << shift2 & full for b in levels))
+
+
+def union_of_runs(runs):
+    """Levels lo + 1 .. hi of each pair (lo, hi), in either order."""
+    mask = 0
+    for a, b in runs:
+        mask |= ((1 << max(a, b)) - 1) ^ ((1 << min(a, b)) - 1)
+    return mask
+
+
+@st.composite
+def column_jobs(draw):
+    """(mask, shift1, shift2, q): a mask within levels 1..q, shifts 0..q."""
+    q = draw(st.integers(0, 200))
+    full = (1 << q) - 1
+    level = st.integers(0, q)
+    masks = [st.just(0), st.just(full), st.integers(0, full),
+             st.lists(st.tuples(level, level), max_size=4).map(union_of_runs)]
+    if q:
+        masks.append(st.integers(0, q - 1).map(lambda i: 1 << i))  # one isolated level
+        masks.append(st.sets(st.integers(0, q - 1), max_size=8).map(  # scattered levels
+            lambda s: sum(1 << i for i in s)))
+    mask = draw(st.one_of(masks))
+    return mask, draw(level), draw(level), q
+
+
+class TestColumns:
+    @settings(derandomize=True, max_examples=600, database=None, deadline=None)
+    @given(column_jobs())
+    @example((0, 0, 0, 0))
+    @example((0, 3, 1, 3))
+    @example(((1 << 200) - 1, 0, 200, 200))  # the second shift truncates every level
+    @example(((1 << 200) - 1, 200, 200, 200))
+    @example(((1 << 65) - 1, 0, 1, 65))  # just past the kept tables
+    @example((1 << 199 | 1 << 101 | 1, 1, 99, 200))  # isolated levels
+    @example((0b1011_0111, 2, 7, 8))
+    def test_matches_per_bit_reference(self, job):
+        assert scheme._columns(*job) == per_bit_columns(*job)
+
+    def test_tables_kept_up_to_the_verification_cap(self):
+        assert scheme._TABLE_CAP == SCHEME_CHECK_CAP
+        build_linear_scheme(Allocation(1, 1), ChannelParams(64, 3, 64))
+        kept = scheme._UNIT_COLUMNS[64]
+        build_linear_scheme(Allocation(2, 1), ChannelParams(64, 5, 1))
+        assert scheme._UNIT_COLUMNS[64] is kept
+        build_linear_scheme(Allocation(1, 1), ChannelParams(65, 3, 65))
+        assert 65 not in scheme._UNIT_COLUMNS
+
+    def test_large_q_leaves_no_table_behind(self):
+        # a q = 4,096 table is 8,192 entries and 4,096 ints of up to 4,096
+        # bits: over 2 MB, of which nothing may stay once the scheme is gone
+        q = 4096
+        a, p = Allocation((1 << q) - 1, (1 << q) - 1), ChannelParams(q, q - 1, q)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = build_linear_scheme(a, p)
+            assert s.k == s.m == q
+            del s
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak > 2 << 20  # the table was built ...
+        assert retained < 64 << 10  # ... and let go
+        assert q not in scheme._UNIT_COLUMNS
 
 
 def level_bits(m):
