@@ -19,10 +19,11 @@ exists; such instances are flagged as singular.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import ParameterError, SingularCaseError
-from .ldm import ChannelParams, even_blocks, ones
+from .ldm import ChannelParams, even_blocks
 
 
 class CaseTag(enum.Enum):
@@ -101,11 +102,6 @@ def phi2(p: int, q: int) -> int:
     return p - lv * q // 2
 
 
-def _uses_phi1(n11: int, n21: int, n2: int) -> bool:
-    # nonzero private part and strictly weaker helper at the legitimate receiver
-    return n11 > n2 and n11 > n21
-
-
 def _rate_kernel(n11: int, n21: int, n2: int) -> tuple[int, int, CaseTag]:
     """(private rate, common rate, regime) of a gain triple.
 
@@ -113,14 +109,15 @@ def _rate_kernel(n11: int, n21: int, n2: int) -> tuple[int, int, CaseTag]:
     by c, so the Gaussian closed form calls this on its rational gains
     scaled to a common denominator.
     """
-    rp = max(n11 - n2, 0)
+    rp = n11 - n2 if n11 > n2 else 0
     if n11 == n21:
         return rp, 0, CaseTag.SINGULAR
     if 3 * n21 < 2 * n11:
         return rp, max(n11 - n21, n21, rp) - rp, CaseTag.WEAK_HELPER
     if n21 >= 2 * n11:
         return rp, n11 - rp, CaseTag.STRONG_HELPER
-    phi = phi1 if _uses_phi1(n11, n21, n2) else phi2
+    # phi1: nonzero private part and strictly weaker helper at the legitimate receiver
+    phi = phi1 if rp and n11 > n21 else phi2
     return rp, phi(n11 - rp, abs(n11 - n21)), CaseTag.ALIGNED
 
 
@@ -151,26 +148,27 @@ def _allocation(p: ChannelParams, rp: int, tag: CaseTag) -> Allocation:
             f"no alignment scheme for n11={p.n11}, n21={p.n21}: "
             "equal gains leave nothing to align against"
         )
-    n11, n21, n2 = p.n11, p.n21, p.n2
+    n11, n21, n2 = p
     n_common = n11 - rp
     gap = n11 - n21
-    private = ones(n11) ^ ones(n_common)
+    full = (1 << n11) - 1  # levels 1..n11
     if tag is CaseTag.STRONG_HELPER:
-        message = ones(n11)
+        message = full
     elif tag is CaseTag.ALIGNED:
         # every second delta-partition of the common levels, from the top;
         # jamming lands one partition below at the receiver, so in the phi1
-        # branch the partition next to the private part is its landing zone
+        # branch (rp > 0 and gap > 0) the partition next to the private part
+        # is its landing zone
         delta = abs(gap)
-        top = max(n_common - delta, 0) if _uses_phi1(n11, n21, n2) else n_common
-        message = even_blocks(delta, top) | private
-    elif max(gap, n21) >= rp:
+        top = n_common - delta if rp and gap > 0 else n_common
+        message = even_blocks(delta, top if top > 0 else 0) | full ^ (1 << n_common) - 1
+    elif gap >= rp or n21 >= rp:
         # top block, jam-covered, plus everything below the jam's landing zone
         # (the next block down), which is empty when gap >= n21
-        message = ones(gap) | ones(n11) & ~ones(2 * gap)
+        message = (1 << gap) - 1 | full >> 2 * gap << 2 * gap
     else:
-        message = private
-    return Allocation(message, message & ones(n2))
+        message = full ^ (1 << n_common) - 1  # the private levels n_common+1..n11
+    return Allocation(message, message & (1 << n2) - 1)
 
 
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
@@ -178,20 +176,24 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     column per set bit of a level mask, shifted down by q - gain and
     truncated at q (a level below the noise floor gives a zero column).
     Each run of consecutive levels compiles as one slice of a table of unit
-    columns, so the cost is O(runs) Python steps, not O(levels)."""
-    message, jam, n11, n21, n2 = a.message, a.jam, p.n11, p.n21, p.n2
+    columns, so the cost is O(runs) Python steps, not O(levels); above the
+    table cap (q > 64) time and memory follow the set levels, not q."""
+    message, jam = a
+    n11, n21, n2 = p
     if message < 0 or jam < 0 or message >> n11 or jam >> n2:
         for name, mask, gain in (("message", message, n11), ("jam", jam, n2)):
             if mask < 0 or mask >> gain:
                 raise ParameterError(f"{name} levels {mask:#b} out of range 1..{gain}")
-    q = max(n11, n21, n2)
+    q = n11 if n11 > n21 else n21
+    if n2 > q:
+        q = n2
     A, C = _columns(message, q - n2, q - n11, q)
     B, D = _columns(jam, q - n2, q - n21, q)
     return LinearScheme(A, B, C, D, a, p)
 
 
-# Unit-column tables by q, kept for q <= 64: the verification grid cap
-# (``verify.SCHEME_CHECK_CAP``).  A larger q builds its table for one call.
+# Unit-column tables by q, built and kept for q <= 64: the verification grid
+# cap (``verify.SCHEME_CHECK_CAP``).
 _TABLE_CAP = 64
 _UNIT_COLUMNS: dict[int, tuple[int, ...]] = {}
 
@@ -202,18 +204,65 @@ def _columns(mask: int, shift1: int, shift2: int, q: int) -> tuple[tuple[int, ..
     Entry j of the unit-column table is the column of a bit shifted to bit
     j: 2^j for j < q, and zero for the q bits past the noise floor.  Each
     run of consecutive set bits lo..hi - 1 is one table slice
-    [lo + shift, hi + shift)."""
+    [lo + shift, hi + shift).  A q above the cap takes ``_reached_columns``."""
     units = _UNIT_COLUMNS.get(q)
     if units is None:
-        units = tuple([1 << j for j in range(q)]) + (0,) * q
-        if q <= _TABLE_CAP:
-            _UNIT_COLUMNS[q] = units
-    one = two = ()
-    while mask:
+        if q > _TABLE_CAP:
+            return _reached_columns(mask, shift1, shift2, q)
+        units = _UNIT_COLUMNS[q] = tuple([1 << j for j in range(q)]) + (0,) * q
+    if not mask:
+        return (), ()
+    # the runs are walked here rather than by ``_runs``, and the first one is
+    # sliced without a concatenation: this runs twice per grid instance
+    low = mask & -mask
+    rest = mask & (mask + low)  # the carry clears the lowest run
+    lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
+    one, two = units[lo + shift1:hi + shift1], units[lo + shift2:hi + shift2]
+    while rest:
+        mask = rest
         low = mask & -mask
-        rest = mask & (mask + low)  # the carry clears the lowest run
+        rest = mask & (mask + low)
         lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
         one += units[lo + shift1:hi + shift1]
         two += units[lo + shift2:hi + shift2]
-        mask = rest
     return one, two
+
+
+def _reached_columns(mask: int, shift1: int, shift2: int,
+                     q: int) -> tuple[tuple[int, ...], ...]:
+    """``_columns`` without a table of all q unit columns: only the columns
+    that the mask's levels reach under either shift are built, once each
+    and shared by both maps, so time and memory follow the set levels.
+
+    The reached bits below q form runs, each with its own list of unit
+    columns; a shifted run of the mask lies within one of them, so its
+    columns are one slice of that list, then a zero per level shifted to q
+    or beyond."""
+    reached = (mask << shift1 | mask << shift2) & (1 << q) - 1
+    starts, units = [], []
+    for run in _runs(reached):
+        starts.append(run.start)
+        units.append([1 << j for j in run])
+    runs = _runs(mask)
+    maps = []
+    for shift in (shift1, shift2):
+        cols: list[int] = []
+        for run in runs:
+            lo, hi = run.start + shift, run.stop + shift
+            if lo < q:
+                k = bisect_right(starts, lo) - 1
+                cols += units[k][lo - starts[k]:hi - starts[k]]
+            cols += [0] * (hi - max(lo, q))
+        maps.append(tuple(cols))
+    return tuple(maps)
+
+
+def _runs(mask: int) -> list[range]:
+    """The runs of consecutive set bits of a mask, from bit 0 up."""
+    out = []
+    while mask:
+        low = mask & -mask
+        rest = mask & (mask + low)  # the carry clears the lowest run
+        out.append(range(low.bit_length() - 1, (mask ^ rest).bit_length()))
+        mask = rest
+    return out

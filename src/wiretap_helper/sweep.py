@@ -71,8 +71,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     ``spec.fixed`` holds exactly the other axes of the swept family: the
     two other gains of a deterministic sweep, the other beta of a Gaussian
-    one.  ``log_snr1``, ``const_c`` and ``asymptotic`` apply to Gaussian
-    sweeps only.
+    one.  ``const_c`` and ``asymptotic`` apply to Gaussian sweeps only, and
+    a deterministic sweep that sets either raises ParameterError;
+    ``log_snr1`` cannot be told from its default, so such a sweep ignores it.
 
     Cells that depend only on the integer gain triple are computed once
     per run of consecutive rows with that triple, so their cost scales with
@@ -89,6 +90,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for name in sorted(wanted ^ set(spec.fixed)):
         verb = "needs" if name in wanted else "takes no"
         raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
+    if not gaussian:
+        for name, given in (("const_c", spec.const_c), ("asymptotic", spec.asymptotic)):
+            if given:
+                raise ParameterError(f"{name} applies only to a sweep over beta1 or beta2")
     per_row = gaussian and not spec.asymptotic  # rates from gaussian_rate, row by row
     norm = spec.log_snr1.as_integer_ratio()
     rows, p = [], None

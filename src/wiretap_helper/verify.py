@@ -27,8 +27,8 @@ from typing import NamedTuple
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError, ParameterError
 from .ldm import ChannelParams, _added_rank, bits, even_blocks, ldm_channel, ones
-from .scheme import (Allocation, CaseTag, LinearScheme, _allocation, build_linear_scheme,
-                     r_achievable)
+from .scheme import (Allocation, CaseTag, LinearScheme, _allocation, _rate_kernel,
+                     build_linear_scheme)
 
 # Schemes that verification decodes end to end through the channel (a seeded
 # uniform sample of the decodable schemes with k > 0), and the random
@@ -204,22 +204,24 @@ def run_verification(
     eligible = 0  # decodable schemes with k > 0 so far: the reservoir's population
     for p in iter_instances(max_q):
         instances += 1
-        br = r_achievable(p)
-        twice_ub = min(_doubled_bounds(p.n11, p.n21, p.n2))
-        if 2 * br.r_ach > twice_ub:
+        n11, n21, n2 = p
+        rp, rc, tag = _rate_kernel(n11, n21, n2)
+        r_ach = rp + rc
+        twice_ub = min(_doubled_bounds(n11, n21, n2))
+        if 2 * r_ach > twice_ub:
             failures.append(
-                f"{p}: achievable {br.r_ach} exceeds converse {upper_bounds(p).min_ub}"
+                f"{p}: achievable {r_ach} exceeds converse {upper_bounds(p).min_ub}"
             )
-        if br.case_tag is CaseTag.SINGULAR:
+        if tag is CaseTag.SINGULAR:
             singular += 1
         else:
-            alloc = _allocation(p, br.r_private, br.case_tag)
+            alloc = _allocation(p, rp, tag)
             s = build_linear_scheme(alloc, p)
             schemes_checked += 1
-            if alloc.message.bit_count() != br.r_ach:
+            if alloc.message.bit_count() != r_ach:
                 failures.append(
                     f"{p}: construction carries {alloc.message.bit_count()} bits, "
-                    f"formula says {br.r_ach}"
+                    f"formula says {r_ach}"
                 )
             leak = leakage(s)
             if leak != 0:
@@ -236,16 +238,16 @@ def run_verification(
         if with_oracle:
             rate, _w = oracle_best_rate(p)
             oracle_checked += 1
-            if rate < br.r_ach:
+            if rate < r_ach:
                 failures.append(
-                    f"{p}: oracle best {rate} below formula {br.r_ach}"
+                    f"{p}: oracle best {rate} below formula {r_ach}"
                 )
             if 2 * rate > twice_ub:
                 failures.append(
                     f"{p}: oracle best {rate} exceeds converse {upper_bounds(p).min_ub}"
                 )
-            if rate > br.r_ach:
-                oracle_gaps.append(OracleGap(p, rate, br.r_ach))
+            if rate > r_ach:
+                oracle_gaps.append(OracleGap(p, rate, r_ach))
     sampled.sort(key=lambda s: (s.params.n11, s.params.n21, s.params.n2))  # grid order
     for s in sampled:
         if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):

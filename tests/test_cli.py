@@ -249,6 +249,18 @@ class TestSweep:
         with pytest.raises(ParameterError, match="takes no fixed beta1"):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("changes,named", [
+        ({"asymptotic": True}, "asymptotic"),
+        ({"const_c": F(5)}, "const_c"),
+        ({"asymptotic": True, "const_c": F(5)}, "const_c"),
+    ], ids=["asymptotic", "const-c", "both"])
+    def test_gaussian_field_on_a_gain_axis_is_rejected(self, changes, named):
+        spec = SweepSpec("n11", F(1), F(2), F(1), {"n21": F(2), "n2": F(3)})
+        assert len(run_sweep(spec._replace(log_snr1=F(7)))) == 2  # cannot be told from 40
+        with pytest.raises(ParameterError,
+                           match=f"^{named} applies only to a sweep over beta1 or beta2$"):
+            run_sweep(spec._replace(**changes))
+
     def test_fractional_gain_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--axis", "n11", "--start", "1", "--stop", "2",

@@ -178,6 +178,15 @@ class TestGaussianRate:
         assert correspondence(g) == p
 
 
+@st.composite
+def narrow_levels(draw):
+    """(m, d, w): beta1 = 1 - m/d with at most 5,000 full levels, and a level
+    width w in (0, 3/2]."""
+    m = draw(st.integers(1, 40))
+    d = draw(st.integers(m, 5001 * m - 1))
+    return m, d, draw(st.fractions(0, F(3, 2), max_denominator=10**6).filter(bool))
+
+
 class TestOddLevelSumBound:
     def test_sum_dominates_simplified_chain(self):
         # closed-form chain: sum over odd levels of the width minus one bit
@@ -191,6 +200,23 @@ class TestOddLevelSumBound:
                 floor_l = g.full_levels
                 lower = F(floor_l, 2) * (1 - b1) * log_snr1 - floor_l
                 assert odd_level_sum(g) >= float(lower) - 1e-9, (log_snr1, b1)
+
+    @settings(derandomize=True, max_examples=100, database=None, deadline=None)
+    @given(narrow_levels())
+    @example((1, 5000, F(3, 2)))  # 5,000 full levels of width exactly 3/2
+    @example((1, 1, F(3, 2)))  # beta1 = 0: one level, the whole signal
+    @example((7, 34_999, F(1, 10**9)))
+    def test_levels_of_width_up_to_three_halves_carry_nothing(self, job):
+        # with level width w = (1 - beta1) log SNR1 <= 3/2 < log2 3, a level's
+        # power 2^lo (2^w - 1) < 2^(lo + 1) is below its noise bound 1 + 2^(lo + 1),
+        # so every per-level bound, and the odd-level sum, is exactly 0.0
+        m, d, w = job
+        g = GaussianParams(w * d / m, F(d - m, d), F(1))
+        assert (1 - g.beta1) * g.log_snr1 == w and 1 <= g.full_levels <= 5000
+        top = -(-d // m)  # the partial level, if any, has the same width
+        assert all(level_rate(g, level) == 0.0 for level in range(1, top + 1))
+        total = odd_level_sum(g)
+        assert total == 0.0 and type(total) is float
 
     @pytest.mark.parametrize("b1", [F(3), F(3, 2)], ids=["above-two", "between-one-and-two"])
     def test_no_power_levels_from_beta1_one_up(self, b1):

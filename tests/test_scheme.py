@@ -324,6 +324,20 @@ class TestColumns:
         assert retained < 64 << 10  # ... and let go
         assert q not in scheme._UNIT_COLUMNS
 
+    def test_sparse_large_q_builds_only_the_reached_columns(self):
+        # one message and one jam level at q = 20,000 reach three unit columns,
+        # not a table of all 20,000 (over 20 MiB)
+        a, p = Allocation(1 << 19999, 1), ChannelParams(20000, 19999, 20000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            s = build_linear_scheme(a, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s.A, s.B, s.C, s.D) == ((1 << 19999,), (1,), (1 << 19999,), (2,))
+        assert peak < 1 << 20
+
 
 def level_bits(m):
     return [1 << i for i in range(m.bit_length()) if m >> i & 1]

@@ -31,7 +31,6 @@ from wiretap_helper import (
 from wiretap_helper import scheme, verify
 from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.cli import main
-from wiretap_helper.scheme import RateBreakdown
 from wiretap_helper.verify import iter_instances
 
 I3 = (0b001, 0b010, 0b100)  # identity map on q = 3 levels
@@ -415,14 +414,25 @@ class TestRunVerification:
         assert seen == eligible  # fewer than ROUNDTRIP_SAMPLES, in grid order
 
     def test_rate_kernel_runs_once_per_instance(self, monkeypatch):
-        # the allocation is built from r_achievable's kernel result, not a second call
+        # the allocation is built from the grid's kernel result, not a second call
         calls = Counter()
         real = scheme._rate_kernel
-        monkeypatch.setattr(scheme, "_rate_kernel",
-                            lambda *gains: calls.update([gains]) or real(*gains))
+        for module in (scheme, verify):
+            monkeypatch.setattr(module, "_rate_kernel",
+                                lambda *gains: calls.update([gains]) or real(*gains))
         run = run_verification(6)
         assert run.ok
         assert sum(calls.values()) == len(calls) == run.instances
+
+    def test_grid_builds_no_rate_breakdown(self, monkeypatch):
+        # the grid reads the kernel's (r_private, r_common, tag) as it is
+        built = []
+        real = scheme.RateBreakdown
+        monkeypatch.setattr(scheme, "RateBreakdown", lambda *f: built.append(f) or real(*f))
+        assert r_achievable(ChannelParams(10, 8, 10)).r_ach == 6
+        assert len(built) == 1  # the patch sees every record r_achievable builds
+        assert run_verification(6, with_oracle=True).ok
+        assert len(built) == 1
 
 
 def mix(columns):
@@ -495,8 +505,13 @@ ALIGNED, HALF = ChannelParams(3, 2, 3), ChannelParams(2, 3, 2)
 
 def verify_with_fault(monkeypatch, capsys, name, target, fault, *flags):
     real = getattr(verify, name)
-    monkeypatch.setattr(verify, name,
-                        lambda p, *rest: fault(real(p, *rest)) if p == target else real(p, *rest))
+
+    def instance(*args):
+        # the rate kernel takes the gains, the other functions the instance first
+        return args if name == "_rate_kernel" else args[0]
+
+    monkeypatch.setattr(verify, name, lambda *args: fault(real(*args))
+                        if instance(*args) == target else real(*args))
     code = main(["verify", "--max-q", "3", *flags])
     out = capsys.readouterr().out
     assert code == 1
@@ -523,8 +538,8 @@ class TestFaultInjection:
         assert got == [f"{ALIGNED}: {line}" for line in failures]
 
     def test_rate_above_converse(self, monkeypatch, capsys):
-        got = verify_with_fault(monkeypatch, capsys, "r_achievable", HALF,
-                                lambda br: RateBreakdown(0, 2, 2, br.case_tag))
+        got = verify_with_fault(monkeypatch, capsys, "_rate_kernel", HALF,
+                                lambda kernel: (0, 2, kernel[2]))
         assert got == [f"{HALF}: achievable 2 exceeds converse 3/2",
                        f"{HALF}: construction carries 1 bits, formula says 2"]
 
