@@ -94,17 +94,21 @@ def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
 
 def _added_rank(base: Iterable[int], extra: Iterable[int]) -> int:
     """rank([base | extra]) - rank(base) over GF(2), by one greedy elimination:
-    the pivots found after the columns of ``base`` count the rank ``extra`` adds."""
+    the pivots found after the columns of ``base`` count the rank ``extra`` adds.
+    A step is one ``setdefault``, which returns v itself when v becomes a new
+    pivot or already is one (and would reduce to zero): either way v is done."""
     pivots: dict[int, int] = {}  # leading bit -> reduced column
     for v in base:
-        while v and (h := v.bit_length() - 1) in pivots:
-            v ^= pivots[h]
-        if v:
-            pivots[h] = v
+        while v:
+            p = pivots.setdefault(v.bit_length() - 1, v)
+            if p is v:
+                break
+            v ^= p
     base_rank = len(pivots)
     for v in extra:
-        while v and (h := v.bit_length() - 1) in pivots:
-            v ^= pivots[h]
-        if v:
-            pivots[h] = v
+        while v:
+            p = pivots.setdefault(v.bit_length() - 1, v)
+            if p is v:
+                break
+            v ^= p
     return len(pivots) - base_rank

@@ -19,7 +19,6 @@ exists; such instances are flagged as singular.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import ParameterError, SingularCaseError
@@ -168,16 +167,14 @@ def _allocation(p: ChannelParams, rp: int, tag: CaseTag) -> Allocation:
         message = (1 << gap) - 1 | full >> 2 * gap << 2 * gap
     else:
         message = full ^ (1 << n_common) - 1  # the private levels n_common+1..n11
-    return Allocation(message, message & (1 << n2) - 1)
+    return tuple.__new__(Allocation, (message, message & (1 << n2) - 1))
 
 
 def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     """Compile an allocation into the four channel-induced GF(2) maps: one
     column per set bit of a level mask, shifted down by q - gain and
     truncated at q (a level below the noise floor gives a zero column).
-    Each run of consecutive levels compiles as one slice of a table of unit
-    columns, so the cost is O(runs) Python steps, not O(levels); above the
-    table cap (q > 64) time and memory follow the set levels, not q."""
+    Both masks compile in one ``_columns`` pass."""
     message, jam = a
     n11, n21, n2 = p
     if message < 0 or jam < 0 or message >> n11 or jam >> n2:
@@ -187,9 +184,8 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     q = n11 if n11 > n21 else n21
     if n2 > q:
         q = n2
-    A, C = _columns(message, q - n2, q - n11, q)
-    B, D = _columns(jam, q - n2, q - n21, q)
-    return LinearScheme(A, B, C, D, a, p)
+    A, C, B, D = _columns(q, (message, q - n2, q - n11), (jam, q - n2, q - n21))
+    return tuple.__new__(LinearScheme, (A, B, C, D, a, p))
 
 
 # Unit-column tables by q, built and kept for q <= 64: the verification grid
@@ -198,63 +194,46 @@ _TABLE_CAP = 64
 _UNIT_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
-def _columns(mask: int, shift1: int, shift2: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The columns of a level mask within 1..q under two shifts of at most q.
+def _columns(q: int, *jobs: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """The maps of level masks within 1..q: for each job (mask, shift1,
+    shift2), shifts at most q, the mask's columns under shift1, then shift2.
 
     Entry j of the unit-column table is the column of a bit shifted to bit
     j: 2^j for j < q, and zero for the q bits past the noise floor.  Each
     run of consecutive set bits lo..hi - 1 is one table slice
-    [lo + shift, hi + shift).  A q above the cap takes ``_reached_columns``."""
+    [lo + shift, hi + shift), so the cost is O(runs) Python steps, not
+    O(levels).  A q above the cap takes ``_reached_columns``."""
     units = _UNIT_COLUMNS.get(q)
     if units is None:
         if q > _TABLE_CAP:
-            return _reached_columns(mask, shift1, shift2, q)
+            return _reached_columns(q, *jobs)
         units = _UNIT_COLUMNS[q] = tuple([1 << j for j in range(q)]) + (0,) * q
-    if not mask:
-        return (), ()
-    # the runs are walked here rather than by ``_runs``, and the first one is
-    # sliced without a concatenation: this runs twice per grid instance
-    low = mask & -mask
-    rest = mask & (mask + low)  # the carry clears the lowest run
-    lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
-    one, two = units[lo + shift1:hi + shift1], units[lo + shift2:hi + shift2]
-    while rest:
-        mask = rest
-        low = mask & -mask
-        rest = mask & (mask + low)
-        lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
-        one += units[lo + shift1:hi + shift1]
-        two += units[lo + shift2:hi + shift2]
-    return one, two
-
-
-def _reached_columns(mask: int, shift1: int, shift2: int,
-                     q: int) -> tuple[tuple[int, ...], ...]:
-    """``_columns`` without a table of all q unit columns: only the columns
-    that the mask's levels reach under either shift are built, once each
-    and shared by both maps, so time and memory follow the set levels.
-
-    The reached bits below q form runs, each with its own list of unit
-    columns; a shifted run of the mask lies within one of them, so its
-    columns are one slice of that list, then a zero per level shifted to q
-    or beyond."""
-    reached = (mask << shift1 | mask << shift2) & (1 << q) - 1
-    starts, units = [], []
-    for run in _runs(reached):
-        starts.append(run.start)
-        units.append([1 << j for j in run])
-    runs = _runs(mask)
     maps = []
-    for shift in (shift1, shift2):
-        cols: list[int] = []
-        for run in runs:
-            lo, hi = run.start + shift, run.stop + shift
-            if lo < q:
-                k = bisect_right(starts, lo) - 1
-                cols += units[k][lo - starts[k]:hi - starts[k]]
-            cols += [0] * (hi - max(lo, q))
-        maps.append(tuple(cols))
-    return tuple(maps)
+    for mask, shift1, shift2 in jobs:
+        one = two = ()  # a first run's slice is taken as it is: () + t is t
+        while mask:
+            low = mask & -mask
+            rest = mask & (mask + low)  # the carry clears the lowest run
+            lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
+            one += units[lo + shift1:hi + shift1]
+            two += units[lo + shift2:hi + shift2]
+            mask = rest
+        maps += one, two
+    return maps
+
+
+def _reached_columns(q: int, *jobs: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """``_columns`` without a table of all q unit columns: each unit column
+    that a mask's levels reach is built once and shared by the mask's two
+    maps, and a level shifted to q or beyond is a zero column, so time and
+    memory follow the set levels, not q."""
+    maps = []
+    for mask, *shifts in jobs:
+        runs, units = _runs(mask), {}
+        for s in shifts:
+            maps.append(tuple([units[j] if j in units else units.setdefault(j, 1 << j) if j < q
+                               else 0 for r in runs for j in range(r.start + s, r.stop + s)]))
+    return maps
 
 
 def _runs(mask: int) -> list[range]:

@@ -21,8 +21,9 @@ independently of the partition construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError, ParameterError
@@ -48,7 +49,7 @@ def leakage(s: LinearScheme) -> int:
 def decodable(s: LinearScheme) -> bool:
     """True iff the message is recoverable from y1 under every jam value:
     rank([C | D]) - rank(D) = k, which with k columns in C forces rank(C) = k."""
-    return _added_rank(s.D, s.C) == s.k
+    return _added_rank(s.D, s.C) == len(s.C)
 
 
 def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
@@ -146,6 +147,23 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     return message.bit_count(), Allocation(message, jam & message)
 
 
+def _reservoir_slots(size: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """(index, slot) pairs of a uniform sample of ``size`` items from a stream:
+    the item with that index (from 0) goes into that slot.  The first
+    ``size`` fill the slots; then Li's skip-based reservoir (Algorithm L, ACM
+    TOMS 1994) draws each skip at once: O(size * log(n / size)) draws for n."""
+    if size <= 0:
+        return
+    yield from zip(range(size), range(size))
+    index = size - 1
+    # w: the largest uniform key in the sample; each next item beats it with chance w
+    w = math.exp(math.log(1.0 - rng.random()) / size)
+    while True:
+        index += math.floor(math.log(1.0 - rng.random()) / math.log1p(-w)) + 1
+        yield index, rng.randrange(size)
+        w *= math.exp(math.log(1.0 - rng.random()) / size)
+
+
 def iter_instances(max_q: int):
     """All gain triples whose ambient length is at most max_q."""
     for n11, n21, n2 in itertools.product(range(max_q + 1), repeat=3):
@@ -196,11 +214,12 @@ def run_verification(
     """
     if max_q > SCHEME_CHECK_CAP:
         raise ParameterError(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")
-    rng = random.Random(seed)
     instances = schemes_checked = singular = oracle_checked = 0
     failures: list[str] = []
     oracle_gaps: list[OracleGap] = []
-    sampled: list[LinearScheme] = []
+    sampled: dict[int, LinearScheme] = {}  # reservoir slot -> scheme
+    slots = _reservoir_slots(ROUNDTRIP_SAMPLES, random.Random(seed))
+    pick, slot = next(slots, (-1, 0))
     eligible = 0  # decodable schemes with k > 0 so far: the reservoir's population
     for p in iter_instances(max_q):
         instances += 1
@@ -228,12 +247,11 @@ def run_verification(
                 failures.append(f"{p}: constructed scheme leaks {leak} bits")
             if not decodable(s):
                 failures.append(f"{p}: constructed scheme is not decodable")
-            elif s.k:
+            elif s.A:  # k > 0
                 # reservoir sample: each such scheme is kept with the same probability
-                if eligible < ROUNDTRIP_SAMPLES:
-                    sampled.append(s)
-                elif (slot := rng.randrange(eligible + 1)) < ROUNDTRIP_SAMPLES:
+                if eligible == pick:
                     sampled[slot] = s
+                    pick, slot = next(slots)
                 eligible += 1
         if with_oracle:
             rate, _w = oracle_best_rate(p)
@@ -248,8 +266,7 @@ def run_verification(
                 )
             if rate > r_ach:
                 oracle_gaps.append(OracleGap(p, rate, r_ach))
-    sampled.sort(key=lambda s: (s.params.n11, s.params.n21, s.params.n2))  # grid order
-    for s in sampled:
+    for s in sorted(sampled.values(), key=lambda s: s.params):  # in grid order
         if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):
             failures.append(f"{s.params}: roundtrip decoding failed")
     if schemes_checked == 0:

@@ -4,8 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wiretap_helper import ChannelParams, ParameterError, ldm_channel
+from wiretap_helper import ChannelParams, ParameterError, ldm_channel, scheme
 from wiretap_helper.ldm import _added_rank, even_blocks
 
 
@@ -153,6 +154,59 @@ class TestGf2Rank:
             base, extra = columns[:split], columns[split:]
             assert (2 ** _added_rank(base, extra) * row_space_size(base, rows)
                     == row_space_size(columns, rows))
+
+
+def added_rank_0_20(base, extra):
+    """The elimination loop of ``_added_rank`` as it was in 0.20.0: a
+    membership test, then an index, per step."""
+    pivots = {}
+    for v in base:
+        while v and (h := v.bit_length() - 1) in pivots:
+            v ^= pivots[h]
+        if v:
+            pivots[h] = v
+    base_rank = len(pivots)
+    for v in extra:
+        while v and (h := v.bit_length() - 1) in pivots:
+            v ^= pivots[h]
+        if v:
+            pivots[h] = v
+    return len(pivots) - base_rank
+
+
+# every unit column of the q = 64 table, the very int objects the grid's maps hold
+UNIT_COLUMNS_64 = scheme._columns(64, ((1 << 64) - 1, 0, 0))[0]
+
+
+@st.composite
+def rank_jobs(draw):
+    """(base, extra) column tuples whose columns are drawn from one pool, so
+    that a repeated column is the same int object in both: 0-200-bit ints,
+    zero, equal values as distinct objects, unit columns of one table, and
+    the small ints CPython caches."""
+    width = draw(st.integers(0, 200))
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=10))
+    pool += [int(str(x)) for x in pool[:3]]  # equal values, distinct objects above 256
+    pool += draw(st.lists(st.sampled_from(UNIT_COLUMNS_64), max_size=6))
+    pool += draw(st.lists(st.integers(0, 256), max_size=6)) + [0]
+    columns = st.lists(st.sampled_from(pool), max_size=14).map(tuple)
+    return draw(columns), draw(columns)
+
+
+class TestSetdefaultElimination:
+    """One ``setdefault`` per elimination step gives the ranks of the 0.20.0
+    loop on every input, including columns that are already their own pivot."""
+
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(rank_jobs())
+    @example(((), ()))
+    @example(((0b11,), (0b11,)))  # a cached small int: extra's column is base's pivot
+    @example((UNIT_COLUMNS_64[:40], UNIT_COLUMNS_64[20:64]))  # shared table slices
+    @example((UNIT_COLUMNS_64[5:6] * 3, (0, UNIT_COLUMNS_64[5], 1 << 5)))
+    def test_matches_the_0_20_loop(self, job):
+        base, extra = job
+        assert _added_rank(base, extra) == added_rank_0_20(base, extra)
+        assert _added_rank((), base + extra) == added_rank_0_20((), base + extra)
 
 
 class TestChannelParams:

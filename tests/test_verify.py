@@ -1,5 +1,6 @@
 """Rank-identity verification, the roundtrip simulator, and the oracle."""
 
+import functools
 import itertools
 import math
 import random
@@ -412,6 +413,63 @@ class TestRunVerification:
         eligible = [p for p in iter_instances(2)
                     if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).k]
         assert seen == eligible  # fewer than ROUNDTRIP_SAMPLES, in grid order
+
+    def test_sample_is_a_function_of_the_seed(self, monkeypatch):
+        def sample(seed):
+            seen = []
+            monkeypatch.setattr(verify, "simulate_roundtrip",
+                                lambda s, *rest: seen.append(s.params) or True)
+            assert run_verification(6, seed=seed).ok
+            return seen
+
+        first = sample(7)
+        assert len(first) == verify.ROUNDTRIP_SAMPLES
+        assert sample(7) == first
+        assert sample(8) != first
+
+    def test_no_sample_when_the_sample_size_is_zero(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "ROUNDTRIP_SAMPLES", 0)
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: seen.append(s) or True)
+        run = run_verification(4, seed=1)
+        assert run.ok and run.schemes_checked == 100
+        assert seen == []
+
+    def test_sample_is_uniform_over_seeds(self, monkeypatch):
+        # 2,000 seeds on the q <= 4 grid (80 eligible schemes): each scheme's
+        # count is Binomial(2000, 25/80), and a skewed skip would move the
+        # schemes past the first 25 by far more than 5 sigma
+        # every per-instance step is a pure function: each runs once per instance
+        for name in ("_rate_kernel", "_doubled_bounds", "_allocation", "build_linear_scheme",
+                     "leakage", "decodable"):
+            monkeypatch.setattr(verify, name, functools.cache(getattr(verify, name)))
+        grid = list(iter_instances(4))
+        monkeypatch.setattr(verify, "iter_instances", lambda max_q: grid)
+        counts = Counter()
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: counts.update([s.params]) or True)
+        seeds, k = 2000, verify.ROUNDTRIP_SAMPLES
+        for seed in range(seeds):
+            run_verification(4, seed=seed)
+        eligible = [p for p in iter_instances(4)
+                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).k]
+        assert len(eligible) == 80 and set(counts) == set(eligible)
+        assert sum(counts.values()) == seeds * k
+        p = k / len(eligible)
+        sigma = math.sqrt(seeds * p * (1 - p))
+        assert all(abs(counts[e] - seeds * p) < 5 * sigma for e in eligible)
+
+    def test_skips_take_logarithmically_many_draws(self):
+        # picks past the first 25 of a 14,400-scheme stream (the q <= 24
+        # grid): about 25 ln(14,400 / 25) = 159, three draws each
+        for seed in range(5):
+            slots = verify._reservoir_slots(25, random.Random(seed))
+            picks = list(itertools.takewhile(lambda pick: pick[0] < 14_400, slots))
+            assert picks[:25] == [(i, i) for i in range(25)]
+            assert [i for i, _ in picks] == sorted({i for i, _ in picks})
+            assert 60 < len(picks) - 25 < 320
+        assert list(verify._reservoir_slots(0, random.Random(0))) == []
 
     def test_rate_kernel_runs_once_per_instance(self, monkeypatch):
         # the allocation is built from the grid's kernel result, not a second call
