@@ -28,15 +28,26 @@ from .scheme import CaseTag, _rate_kernel
 # from 7 to 15 s on shared 2-vCPU Xeon hosts, depending on the host and its load,
 # so a sum over more raises instead of running for minutes
 MAX_LEVELS = 10**6
+# Fraction("1e10000000") alone takes seconds, and printing such a value minutes
+MAX_DECIMAL_EXPONENT = 10_000
 
 
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
     """Exact rational from user input; floats go through their repr so that
-    decimal literals like 0.05 mean 1/20."""
+    decimal literals like 0.05 mean 1/20.  A string whose decimal exponent
+    is beyond +-``MAX_DECIMAL_EXPONENT`` raises ParameterError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         return Fraction(str(x))
+    if isinstance(x, str):
+        _, e, exponent = x.lower().rpartition("e")  # a valid "e" starts the exponent
+        try:
+            huge = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:  # not an exponent: Fraction reports the literal
+            huge = False
+        if huge:
+            raise ParameterError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {x!r}")
     return Fraction(x)
 
 

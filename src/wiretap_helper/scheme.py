@@ -188,9 +188,9 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     return tuple.__new__(LinearScheme, (A, B, C, D, a, p))
 
 
-# Unit-column tables by q, built and kept for q <= 64: the verification grid
-# cap (``verify.SCHEME_CHECK_CAP``).
-_TABLE_CAP = 64
+# The largest q of the grid ``verify.run_verification`` accepts: (cap + 1)^3
+# instances.  Unit-column tables by q are built and kept up to it.
+SCHEME_CHECK_CAP = 64
 _UNIT_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
@@ -205,7 +205,7 @@ def _columns(q: int, *jobs: tuple[int, int, int]) -> list[tuple[int, ...]]:
     O(levels).  A q above the cap takes ``_reached_columns``."""
     units = _UNIT_COLUMNS.get(q)
     if units is None:
-        if q > _TABLE_CAP:
+        if q > SCHEME_CHECK_CAP:
             return _reached_columns(q, *jobs)
         units = _UNIT_COLUMNS[q] = tuple([1 << j for j in range(q)]) + (0,) * q
     maps = []

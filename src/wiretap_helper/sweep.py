@@ -36,8 +36,8 @@ class SweepSpec(NamedTuple):
     stop: Fraction
     step: Fraction
     fixed: Mapping[str, Fraction] = MappingProxyType({})  # read-only, so safe to share
-    log_snr1: Fraction = DEFAULT_LOG_SNR1
-    const_c: Fraction = Fraction(0)
+    log_snr1: Fraction | None = None  # None: not given (see ``run_sweep``)
+    const_c: Fraction | None = None
     asymptotic: bool = False
 
     def grid(self) -> list[Fraction]:
@@ -71,9 +71,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     ``spec.fixed`` holds exactly the other axes of the swept family: the
     two other gains of a deterministic sweep, the other beta of a Gaussian
-    one.  ``const_c`` and ``asymptotic`` apply to Gaussian sweeps only, and
-    a deterministic sweep that sets either raises ParameterError;
-    ``log_snr1`` cannot be told from its default, so such a sweep ignores it.
+    one.  ``log_snr1`` and ``const_c`` default to None, "not given": a
+    Gaussian sweep reads None as ``DEFAULT_LOG_SNR1`` and 0, and a
+    deterministic sweep that gives either, or sets ``asymptotic``, raises
+    ParameterError.
 
     Cells that depend only on the integer gain triple are computed once
     per run of consecutive rows with that triple, so their cost scales with
@@ -84,24 +85,27 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     Finite-SNR Gaussian rows still call ``gaussian_rate`` row by row.
     """
     gaussian = spec.axis in GAUSS_AXES
-    if not gaussian and spec.axis not in DET_AXES:
-        raise ParameterError(f"unknown sweep axis {spec.axis!r}")
+    if not gaussian:
+        if spec.axis not in DET_AXES:
+            raise ParameterError(f"unknown sweep axis {spec.axis!r}")
+        for name, given in (("log_snr1", spec.log_snr1 is not None),
+                            ("const_c", spec.const_c is not None),
+                            ("asymptotic", spec.asymptotic)):
+            if given:
+                raise ParameterError(f"{name} applies only to a sweep over beta1 or beta2")
     wanted = set(GAUSS_AXES if gaussian else DET_AXES) - {spec.axis}
     for name in sorted(wanted ^ set(spec.fixed)):
         verb = "needs" if name in wanted else "takes no"
         raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
-    if not gaussian:
-        for name, given in (("const_c", spec.const_c), ("asymptotic", spec.asymptotic)):
-            if given:
-                raise ParameterError(f"{name} applies only to a sweep over beta1 or beta2")
+    log_snr1 = DEFAULT_LOG_SNR1 if spec.log_snr1 is None else spec.log_snr1
     per_row = gaussian and not spec.asymptotic  # rates from gaussian_rate, row by row
-    norm = spec.log_snr1.as_integer_ratio()
+    norm = log_snr1.as_integer_ratio()
     rows, p = [], None
     for v in spec.grid():
         params = {**spec.fixed, spec.axis: v}
         last = p
         if gaussian:
-            g = GaussianParams(spec.log_snr1, params["beta1"], params["beta2"])
+            g = GaussianParams(log_snr1, params["beta1"], params["beta2"])
             p = correspondence(g)
         else:
             for name, x in params.items():
@@ -109,7 +113,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     raise ParameterError(f"{name} must be an integer, got {x}")
             p = ChannelParams(**{name: int(x) for name, x in params.items()})
         if p != last:
-            ub = gaussian_upper_bounds(p, spec.const_c) if gaussian else upper_bounds(p)
+            ub = gaussian_upper_bounds(p, spec.const_c or 0) if gaussian else upper_bounds(p)
             min_ub = ub.min_ub
             if per_row:
                 normalized_ub = _normalized(min_ub, *norm)

@@ -28,16 +28,14 @@ from typing import Iterator, NamedTuple
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError, ParameterError
 from .ldm import ChannelParams, _added_rank, bits, even_blocks, ldm_channel, ones
-from .scheme import (Allocation, CaseTag, LinearScheme, _allocation, _rate_kernel,
-                     build_linear_scheme)
+from .scheme import (SCHEME_CHECK_CAP, Allocation, CaseTag, LinearScheme, _allocation,
+                     _rate_kernel, build_linear_scheme)
 
 # Schemes that verification decodes end to end through the channel (a seeded
 # uniform sample of the decodable schemes with k > 0), and the random
 # message/jam draws per scheme.
 ROUNDTRIP_SAMPLES = 25
 ROUNDTRIP_TRIALS = 50
-# The largest grid ``run_verification`` accepts: (max_q + 1)^3 instances.
-SCHEME_CHECK_CAP = 64
 
 
 def leakage(s: LinearScheme) -> int:
@@ -209,9 +207,11 @@ def run_verification(
     are findings, not failures, and are kept in grid order as
     ``oracle_gaps``.
 
-    Raises ParameterError, before any instance is built, when max_q
-    exceeds ``SCHEME_CHECK_CAP``.
+    Raises ParameterError, before any instance is built, when max_q is
+    negative or exceeds ``SCHEME_CHECK_CAP``.
     """
+    if max_q < 0:
+        raise ParameterError(f"max_q must be a nonnegative integer, got {max_q!r}")
     if max_q > SCHEME_CHECK_CAP:
         raise ParameterError(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")
     instances = schemes_checked = singular = oracle_checked = 0

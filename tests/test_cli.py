@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wiretap_helper import ParameterError, SweepSpec, cli, gaussian, run_sweep, sweep
+from wiretap_helper import (ChannelParams, GaussianParams, ParameterError, SweepSpec, cli,
+                            gaussian, run_sweep, run_verification, sweep)
 from wiretap_helper.cli import main
 
 
@@ -229,19 +230,25 @@ class TestSweep:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,named", [
-        (["--axis", "n11", "--n21", "10", "--n2", "12", "--beta1", "0.5"], "takes no fixed beta1"),
-        (["--axis", "n11", "--n21", "10", "--n2", "12", "--log-snr1", "7"], "--log-snr1"),
-        (["--axis", "n11", "--n21", "10", "--n2", "12", "--const-c", "0"], "--const-c"),
-        (["--axis", "n11", "--n21", "10", "--n2", "12", "--asymptotic"], "--asymptotic"),
-        (["--axis", "beta1", "--beta2", "1", "--n11", "99"], "takes no fixed n11"),
-        (["--axis", "n21", "--n11", "20", "--n2", "15", "--n21", "5"], "takes no fixed n21"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--beta1", "0.5"],
+         "sweep over n11 takes no fixed beta1"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--log-snr1", "7"],
+         "log_snr1 applies only to a sweep over beta1 or beta2"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--const-c", "0"],
+         "const_c applies only to a sweep over beta1 or beta2"),
+        (["--axis", "n11", "--n21", "10", "--n2", "12", "--asymptotic"],
+         "asymptotic applies only to a sweep over beta1 or beta2"),
+        (["--axis", "beta1", "--beta2", "1", "--n11", "99"], "sweep over beta1 takes no fixed n11"),
+        (["--axis", "n21", "--n11", "20", "--n2", "15", "--n21", "5"],
+         "sweep over n21 takes no fixed n21"),
     ], ids=["beta1-on-n11", "log-snr1-on-n11", "const-c-on-n11", "asymptotic-on-n11",
             "n11-on-beta1", "own-axis-flag"])
     def test_flag_the_sweep_does_not_read_is_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--start", "1", "--stop", "2", "--step", "1", *argv])
         assert exc.value.code == 2
-        assert named in capsys.readouterr().err
+        # the usage line lists every flag, so only the error line can name the rule
+        assert capsys.readouterr().err.splitlines()[-1] == f"wth sweep: error: {named}"
 
     def test_extra_fixed_key_is_rejected(self):
         spec = SweepSpec(axis="n11", start=F(1), stop=F(2), step=F(1),
@@ -253,13 +260,23 @@ class TestSweep:
         ({"asymptotic": True}, "asymptotic"),
         ({"const_c": F(5)}, "const_c"),
         ({"asymptotic": True, "const_c": F(5)}, "const_c"),
-    ], ids=["asymptotic", "const-c", "both"])
+        ({"log_snr1": F(7)}, "log_snr1"),
+        ({"log_snr1": F(40), "const_c": F(0)}, "log_snr1"),
+        ({"const_c": F(0)}, "const_c"),
+    ], ids=["asymptotic", "const-c", "both", "log-snr1", "log-snr1-default", "const-c-zero"])
     def test_gaussian_field_on_a_gain_axis_is_rejected(self, changes, named):
+        # None is "not given", so a given field is rejected even at its default value
         spec = SweepSpec("n11", F(1), F(2), F(1), {"n21": F(2), "n2": F(3)})
-        assert len(run_sweep(spec._replace(log_snr1=F(7)))) == 2  # cannot be told from 40
+        assert len(run_sweep(spec)) == 2
         with pytest.raises(ParameterError,
                            match=f"^{named} applies only to a sweep over beta1 or beta2$"):
             run_sweep(spec._replace(**changes))
+
+    def test_gaussian_fields_not_given_take_their_defaults(self):
+        spec = SweepSpec("beta1", F(1, 2), F(1), F(1, 4), {"beta2": F(1)})
+        given = spec._replace(log_snr1=sweep.DEFAULT_LOG_SNR1, const_c=F(0))
+        assert (spec.log_snr1, spec.const_c) == (None, None)
+        assert run_sweep(spec) == run_sweep(given)
 
     def test_fractional_gain_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -738,10 +755,32 @@ class TestSubcommandUsage:
          "the odd-level sum over 10000000 power levels exceeds the cap of 1000000 levels"),
         (["sweep", "--axis", "n21", "--start", "0", "--stop", "1", "--step", "1",
           "--n11", "3", "--n2", "2", "--asymptotic"],
-         "--asymptotic applies only to a sweep over beta1 or beta2"),
+         "asymptotic applies only to a sweep over beta1 or beta2"),
     ], ids=["verify-cap", "gaussian-level-cap", "sweep-flag"])
     def test_error_prints_the_subcommand_usage(self, argv, error):
         code, out, err = outcome(main, argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"usage: wth {argv[0]} [-h]")
         assert err.endswith(f"\nwth {argv[0]}: error: {error}\n")
+
+
+class TestRuleParity:
+    """Each value rule has one owner, the library: the CLI exits 2 with the
+    very text that the matching library call raises."""
+
+    @pytest.mark.parametrize("argv,call", [
+        (["rates", "--n11", "-1", "--n21", "0", "--n2", "0"], lambda: ChannelParams(-1, 0, 0)),
+        (["verify", "--max-q", "-1"], lambda: run_verification(-1)),
+        (["gaussian", "--beta1", "0.5", "--beta2", "1e20000"],
+         lambda: GaussianParams(40, "0.5", "1e20000")),
+        (["sweep", "--axis", "n11", "--start", "1", "--stop", "2", "--step", "1",
+          "--n21", "2", "--n2", "3", "--log-snr1", "7"],
+         lambda: run_sweep(SweepSpec("n11", F(1), F(2), F(1), {"n21": F(2), "n2": F(3)},
+                                     log_snr1=F(7)))),
+    ], ids=["negative-gain", "negative-max-q", "huge-exponent", "gaussian-field-on-gain-axis"])
+    def test_cli_error_is_the_library_error(self, argv, call):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        code, out, err = outcome(main, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(str(exc.value))

@@ -1,6 +1,7 @@
 """Gaussian rate evaluation: levels, decoding bounds, and the closed form."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from wiretap_helper import (
     level_rate,
     odd_level_sum,
     r_achievable,
+    to_fraction,
 )
 from wiretap_helper import gaussian
 from wiretap_helper.bounds import _doubled_bounds
@@ -49,6 +51,38 @@ class TestGaussianParams:
             GaussianParams(F(10), F(-1, 2), F(1))
         with pytest.raises(ParameterError):
             gp(10, 1, 1).l_max
+
+
+class TestDecimalExponentCap:
+    """The library owns the cap: every reader of a decimal string refuses an
+    exponent past +-10000 at once, instead of parsing it for seconds."""
+
+    @pytest.mark.parametrize("read", [
+        to_fraction,
+        lambda x: GaussianParams(40, "0.5", x),
+        lambda x: gaussian_upper_bounds(ChannelParams(3, 2, 1), x),
+    ], ids=["to_fraction", "GaussianParams", "gaussian_upper_bounds"])
+    @pytest.mark.parametrize("text", ["1e10000000", "1E-10000000", " 1e+10_000_000 "])
+    def test_huge_exponent_raises_at_once(self, read, text):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError) as exc:
+            read(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == f"decimal exponent beyond +-10000: {text!r}"
+
+    def test_bound(self):
+        assert to_fraction("1e10000") == 10**10000
+        assert to_fraction("2.5e-10000") == F(1, 4 * 10**9999)
+        for text in ("1e10001", "1e-10001"):
+            with pytest.raises(ParameterError):
+                to_fraction(text)
+
+    @pytest.mark.parametrize("text", ["tree", "1e", "1e5e", "e5", "1/0e3"])
+    def test_other_literals_keep_the_fraction_error(self, text):
+        with pytest.raises(ValueError) as exc:
+            to_fraction(text)
+        assert not isinstance(exc.value, ParameterError)
+        assert str(exc.value) == f"Invalid literal for Fraction: {text!r}"
 
 
 def level_theta(g, level):

@@ -24,7 +24,7 @@ from wiretap_helper import (
     r_achievable,
     upper_bounds,
 )
-from wiretap_helper import scheme
+from wiretap_helper import cli, scheme
 from wiretap_helper.verify import SCHEME_CHECK_CAP, iter_instances
 
 
@@ -300,7 +300,8 @@ class TestColumns:
             *per_bit_columns(*job), *per_bit_columns(*other)]
 
     def test_tables_kept_up_to_the_verification_cap(self):
-        assert scheme._TABLE_CAP == SCHEME_CHECK_CAP
+        # one constant: the grid cap of verify and the CLI is the table cap
+        assert SCHEME_CHECK_CAP is scheme.SCHEME_CHECK_CAP is cli.SCHEME_CHECK_CAP == 64
         build_linear_scheme(Allocation(1, 1), ChannelParams(64, 3, 64))
         kept = scheme._UNIT_COLUMNS[64]
         build_linear_scheme(Allocation(2, 1), ChannelParams(64, 5, 1))

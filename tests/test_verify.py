@@ -382,6 +382,14 @@ class TestRunVerification:
         with pytest.raises(ParameterError, match="capped at max-q 64"):
             run_verification(verify.SCHEME_CHECK_CAP + 1)
 
+    def test_negative_max_q_is_checked_before_any_instance(self, monkeypatch):
+        def no_instances(max_q):
+            raise AssertionError("an instance was built for a negative max_q")
+
+        monkeypatch.setattr(verify, "iter_instances", no_instances)
+        with pytest.raises(ParameterError, match="^max_q must be a nonnegative integer, got -1$"):
+            run_verification(-1)
+
     def test_grid_without_a_scheme_is_not_ok(self):
         # q <= 0 holds only the singular instance (0, 0, 0)
         run = run_verification(0)
