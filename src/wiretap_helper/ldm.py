@@ -55,27 +55,13 @@ class ChannelParams(_Gains):
         return abs(self.n11 - self.n21)
 
 
-def ones(n: int) -> int:
-    """Bitset of levels 1..n."""
-    return (1 << n) - 1
-
-
 def even_blocks(width: int, n: int) -> int:
     """Levels 1..n in the even-indexed blocks of ``width`` levels counted
-    from level 1 (blocks 0, 2, 4, ...): ones(width) times a geometric
+    from level 1 (blocks 0, 2, 4, ...): 2^width - 1 times a geometric
     series of stride 2 * width, in O(1) big-int operations (width > 0)."""
     period = 2 * width
     series = ((1 << period * -(-n // period)) - 1) // ((1 << period) - 1)
     return ((1 << width) - 1) * series & (1 << n) - 1
-
-
-def bits(mask: int) -> list[int]:
-    """The set bits of a bitset as single-bit ints, from level 1 down."""
-    out = []
-    while mask:
-        out.append(mask & -mask)
-        mask &= mask - 1
-    return out
 
 
 def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
@@ -84,12 +70,14 @@ def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
     y1 sees the user at gain n11 and the helper at gain n21; y2 sees both
     at the common eavesdropper gain n2.
     """
-    q = p.q
+    n11, n21, n2 = p
+    q = n11 if n11 > n21 else n21
+    if n2 > q:
+        q = n2
     if x1 < 0 or x2 < 0 or (x1 | x2) >> q:
         raise ParameterError(f"channel inputs must be bitsets of length q={q}")
-    y1 = ((x1 << (q - p.n11)) ^ (x2 << (q - p.n21))) & ones(q)
-    y2 = ((x1 ^ x2) << (q - p.n2)) & ones(q)
-    return y1, y2
+    full = (1 << q) - 1
+    return ((x1 << q - n11) ^ (x2 << q - n21)) & full, ((x1 ^ x2) << q - n2) & full
 
 
 def _added_rank(base: Iterable[int], extra: Iterable[int]) -> int:

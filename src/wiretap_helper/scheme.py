@@ -174,7 +174,8 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     """Compile an allocation into the four channel-induced GF(2) maps: one
     column per set bit of a level mask, shifted down by q - gain and
     truncated at q (a level below the noise floor gives a zero column).
-    Both masks compile in one ``_columns`` pass."""
+    Each mask compiles in its own ``_columns`` call from one lookup of the
+    kept unit-column table of q; above the cap, ``_reached_columns``."""
     message, jam = a
     n11, n21, n2 = p
     if message < 0 or jam < 0 or message >> n11 or jam >> n2:
@@ -184,7 +185,15 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     q = n11 if n11 > n21 else n21
     if n2 > q:
         q = n2
-    A, C, B, D = _columns(q, (message, q - n2, q - n11), (jam, q - n2, q - n21))
+    units = _UNIT_COLUMNS.get(q)
+    if units is None:
+        if q > SCHEME_CHECK_CAP:
+            A, C = _reached_columns(q, message, q - n2, q - n11)
+            B, D = _reached_columns(q, jam, q - n2, q - n21)
+            return tuple.__new__(LinearScheme, (A, B, C, D, a, p))
+        units = _UNIT_COLUMNS[q] = _unit_table(q)
+    A, C = _columns(units, message, q - n2, q - n11)
+    B, D = _columns(units, jam, q - n2, q - n21)
     return tuple.__new__(LinearScheme, (A, B, C, D, a, p))
 
 
@@ -194,46 +203,39 @@ SCHEME_CHECK_CAP = 64
 _UNIT_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
-def _columns(q: int, *jobs: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    """The maps of level masks within 1..q: for each job (mask, shift1,
-    shift2), shifts at most q, the mask's columns under shift1, then shift2.
-
-    Entry j of the unit-column table is the column of a bit shifted to bit
-    j: 2^j for j < q, and zero for the q bits past the noise floor.  Each
-    run of consecutive set bits lo..hi - 1 is one table slice
-    [lo + shift, hi + shift), so the cost is O(runs) Python steps, not
-    O(levels).  A q above the cap takes ``_reached_columns``."""
-    units = _UNIT_COLUMNS.get(q)
-    if units is None:
-        if q > SCHEME_CHECK_CAP:
-            return _reached_columns(q, *jobs)
-        units = _UNIT_COLUMNS[q] = tuple([1 << j for j in range(q)]) + (0,) * q
-    maps = []
-    for mask, shift1, shift2 in jobs:
-        one = two = ()  # a first run's slice is taken as it is: () + t is t
-        while mask:
-            low = mask & -mask
-            rest = mask & (mask + low)  # the carry clears the lowest run
-            lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
-            one += units[lo + shift1:hi + shift1]
-            two += units[lo + shift2:hi + shift2]
-            mask = rest
-        maps += one, two
-    return maps
+def _unit_table(q: int) -> tuple[int, ...]:
+    """Entry j is the column of a bit shifted to bit j: 2^j for j < q, and
+    zero for the q bits past the noise floor."""
+    return tuple([1 << j for j in range(q)]) + (0,) * q
 
 
-def _reached_columns(q: int, *jobs: tuple[int, int, int]) -> list[tuple[int, ...]]:
+def _columns(units: tuple[int, ...], mask: int, shift1: int,
+             shift2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The maps of a level mask within 1..q under two shifts of at most q,
+    from the unit-column table of q (``_unit_table``).  Each run of
+    consecutive set bits lo..hi - 1 is one table slice [lo + shift, hi +
+    shift), so the cost is O(runs) Python steps, not O(levels)."""
+    one = two = ()  # a first run's slice is taken as it is: () + t is t
+    while mask:
+        low = mask & -mask
+        rest = mask & (mask + low)  # the carry clears the lowest run
+        lo, hi = low.bit_length() - 1, (mask ^ rest).bit_length()
+        one += units[lo + shift1:hi + shift1]
+        two += units[lo + shift2:hi + shift2]
+        mask = rest
+    return one, two
+
+
+def _reached_columns(q: int, mask: int, shift1: int,
+                     shift2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``_columns`` without a table of all q unit columns: each unit column
-    that a mask's levels reach is built once and shared by the mask's two
-    maps, and a level shifted to q or beyond is a zero column, so time and
-    memory follow the set levels, not q."""
-    maps = []
-    for mask, *shifts in jobs:
-        runs, units = _runs(mask), {}
-        for s in shifts:
-            maps.append(tuple([units[j] if j in units else units.setdefault(j, 1 << j) if j < q
-                               else 0 for r in runs for j in range(r.start + s, r.stop + s)]))
-    return maps
+    that the mask's levels reach is built once and shared by its two maps,
+    and a level shifted to q or beyond is a zero column, so time and memory
+    follow the set levels, not q."""
+    runs, units = _runs(mask), {}
+    return tuple(tuple([units[j] if j in units else units.setdefault(j, 1 << j) if j < q
+                        else 0 for r in runs for j in range(r.start + s, r.stop + s)])
+                 for s in (shift1, shift2))
 
 
 def _runs(mask: int) -> list[range]:

@@ -19,7 +19,7 @@ from typing import IO, NamedTuple
 
 from .bounds import gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
-from .gaussian import GaussianParams, correspondence, gaussian_rate
+from .gaussian import GaussianParams, correspondence, gaussian_rate, to_fraction
 from .ldm import ChannelParams
 from .scheme import r_achievable
 
@@ -41,14 +41,16 @@ class SweepSpec(NamedTuple):
     asymptotic: bool = False
 
     def grid(self) -> list[Fraction]:
-        if self.step <= 0:
+        """start, start + step, ... up to stop, each read by ``to_fraction``."""
+        start, stop, step = to_fraction(self.start), to_fraction(self.stop), to_fraction(self.step)
+        if step <= 0:
             raise ParameterError("sweep step must be positive")
-        if self.start > self.stop:
+        if start > stop:
             raise ParameterError("sweep start must not exceed stop")
-        count = (self.stop - self.start) // self.step + 1
+        count = (stop - start) // step + 1
         if count > MAX_SWEEP_ROWS:
             raise ParameterError(f"sweep has {count} rows, above the cap of {MAX_SWEEP_ROWS}")
-        (a, da), (b, db) = self.start.as_integer_ratio(), self.step.as_integer_ratio()
+        (a, da), (b, db) = start.as_integer_ratio(), step.as_integer_ratio()
         return [Fraction(a * db + k * b * da, da * db) for k in range(count)]
 
 
@@ -74,7 +76,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     one.  ``log_snr1`` and ``const_c`` default to None, "not given": a
     Gaussian sweep reads None as ``DEFAULT_LOG_SNR1`` and 0, and a
     deterministic sweep that gives either, or sets ``asymptotic``, raises
-    ParameterError.
+    ParameterError.  Every number of the spec (start, stop, step, the
+    fixed values, ``log_snr1`` and ``const_c``) is read once, by
+    ``to_fraction``, so it may be an int, float, str or Fraction.
 
     Cells that depend only on the integer gain triple are computed once
     per run of consecutive rows with that triple, so their cost scales with
@@ -97,12 +101,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for name in sorted(wanted ^ set(spec.fixed)):
         verb = "needs" if name in wanted else "takes no"
         raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
-    log_snr1 = DEFAULT_LOG_SNR1 if spec.log_snr1 is None else spec.log_snr1
+    fixed = {name: to_fraction(x) for name, x in spec.fixed.items()}
+    log_snr1 = DEFAULT_LOG_SNR1 if spec.log_snr1 is None else to_fraction(spec.log_snr1)
+    const_c = 0 if spec.const_c is None else to_fraction(spec.const_c)
     per_row = gaussian and not spec.asymptotic  # rates from gaussian_rate, row by row
     norm = log_snr1.as_integer_ratio()
     rows, p = [], None
     for v in spec.grid():
-        params = {**spec.fixed, spec.axis: v}
+        params = {**fixed, spec.axis: v}
         last = p
         if gaussian:
             g = GaussianParams(log_snr1, params["beta1"], params["beta2"])
@@ -113,7 +119,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     raise ParameterError(f"{name} must be an integer, got {x}")
             p = ChannelParams(**{name: int(x) for name, x in params.items()})
         if p != last:
-            ub = gaussian_upper_bounds(p, spec.const_c or 0) if gaussian else upper_bounds(p)
+            ub = gaussian_upper_bounds(p, const_c) if gaussian else upper_bounds(p)
             min_ub = ub.min_ub
             if per_row:
                 normalized_ub = _normalized(min_ub, *norm)

@@ -27,9 +27,9 @@ from typing import Iterator, NamedTuple
 
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ContractError, ParameterError
-from .ldm import ChannelParams, _added_rank, bits, even_blocks, ldm_channel, ones
+from .ldm import ChannelParams, _added_rank, even_blocks, ldm_channel
 from .scheme import (SCHEME_CHECK_CAP, Allocation, CaseTag, LinearScheme, _allocation,
-                     _rate_kernel, build_linear_scheme)
+                     _rate_kernel, _runs, build_linear_scheme)
 
 # Schemes that verification decodes end to end through the channel (a seeded
 # uniform sample of the decodable schemes with k > 0), and the random
@@ -54,21 +54,27 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     """Encode random inputs, run them through the channel, decode, compare.
 
     End-to-end sanity via the channel map itself rather than rank algebra:
-    input bit j goes on the j-th set level of its allocation mask, and y1 is
+    input bit j goes on the j-th set level of its allocation mask, placed
+    one run of consecutive levels at a time (``_place``), so encoding costs
+    O(runs) big-int operations, not a Python step per level.  y1 is
     reduced against an echelon basis of the columns of [C | D]; each
     basis vector records the inputs combined to make it, and the message
     bits of the combined record are the decoded message.  A decodable
     scheme's column dependencies involve jam inputs only, so the decoded
-    message does not depend on the basis.
+    message does not depend on the basis.  Each trial draws k message bits,
+    then m jam bits, from ``random.Random(seed)``.
     """
     if not decodable(s):
         raise ContractError("simulate_roundtrip requires a decodable scheme")
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, inputs)
+    get = basis.get
 
     def reduce(v: int, inputs: int) -> tuple[int, int]:
-        while v and (v.bit_length() - 1) in basis:
-            b, combined = basis[v.bit_length() - 1]
-            v, inputs = v ^ b, inputs ^ combined
+        while v:
+            b = get(v.bit_length() - 1)
+            if b is None:
+                break
+            v, inputs = v ^ b[0], inputs ^ b[1]
         return v, inputs
 
     for j, col in enumerate(s.C + s.D):
@@ -76,27 +82,36 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         if v:
             basis[v.bit_length() - 1] = (v, inputs)
 
-    def place(v: int, levels: list[int]) -> int:
-        x = 0
-        for b in levels:
-            if v & 1:
-                x |= b
-            v >>= 1
-        return x
-
-    msg, jam = bits(s.allocation.message), bits(s.allocation.jam)
-    k, m, p = s.k, s.m, s.params
-    message_inputs = ones(k)
+    msg, jam = _level_runs(s.allocation.message), _level_runs(s.allocation.jam)
+    k, m, p = len(s.A), len(s.B), s.params
+    message_inputs = (1 << k) - 1
     getrandbits = random.Random(seed).getrandbits
     for _ in range(trials):
         w = getrandbits(k) if k else 0
         u = getrandbits(m) if m else 0
-        y1, _y2 = ldm_channel(place(w, msg), place(u, jam), p)
+        y1, _y2 = ldm_channel(_place(w, msg), _place(u, jam), p)
         # a residue is a y1 bit that no column of [C | D] reaches
         residue, inputs = reduce(y1, 0)
         if residue or inputs & message_inputs != w:
             return False
     return True
+
+
+def _level_runs(mask: int) -> list[tuple[int, int, int]]:
+    """(lowest bit, width, 2^width - 1) of each run of consecutive set bits
+    of a level mask, from bit 0 up."""
+    return [(r.start, len(r), (1 << len(r)) - 1) for r in _runs(mask)]
+
+
+def _place(v: int, runs: list[tuple[int, int, int]]) -> int:
+    """Bit j of v onto the j-th set level of the mask that ``runs`` describes
+    (bits of v beyond its levels are dropped): the next width bits of v
+    fill each run."""
+    x = 0
+    for lo, width, width_ones in runs:
+        x |= (v & width_ones) << lo
+        v >>= width
+    return x
 
 
 def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
@@ -129,20 +144,21 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     on a level in (top, n11]: the jam levels top - s + 1 .. n21.  That is
     O(1) big-int operations per instance.
     """
-    n11, n21, n2 = p.n11, p.n21, p.n2
+    n11, n21, n2 = p
     d = n11 - n21
     if d > 0:
         top = n2 if n2 < n11 else n11
-        jam = even_blocks(d, top) & ~(ones(n21) ^ ones(top - d if top > d else 0))
-        landing = (jam & ones(n21)) << d
+        heard = (1 << n21) - 1  # jam levels 1..n21
+        jam = even_blocks(d, top) & ~(heard ^ (1 << (top - d if top > d else 0)) - 1)
+        landing = (jam & heard) << d
     elif d:
         jam = even_blocks(-d, n2 if n2 < n11 else n11)
         landing = jam >> -d  # every jam bit is below n11 < n21, so heard
     else:
         jam = landing = 0
     # usable levels: covered at y2 and not hit by a jam bit heard at y1
-    message = ones(n11) & (jam | ~ones(n2)) & ~landing
-    return message.bit_count(), Allocation(message, jam & message)
+    message = (1 << n11) - 1 & (jam | -1 << n2) & ~landing
+    return message.bit_count(), tuple.__new__(Allocation, (message, jam & message))
 
 
 def _reservoir_slots(size: int, rng: random.Random) -> Iterator[tuple[int, int]]:
@@ -164,8 +180,9 @@ def _reservoir_slots(size: int, rng: random.Random) -> Iterator[tuple[int, int]]
 
 def iter_instances(max_q: int):
     """All gain triples whose ambient length is at most max_q."""
-    for n11, n21, n2 in itertools.product(range(max_q + 1), repeat=3):
-        yield ChannelParams(n11, n21, n2)
+    # ints from ``range`` need none of ``ChannelParams``' checks
+    for t in itertools.product(range(max_q + 1), repeat=3):
+        yield tuple.__new__(ChannelParams, t)
 
 
 class OracleGap(NamedTuple):
@@ -207,10 +224,11 @@ def run_verification(
     are findings, not failures, and are kept in grid order as
     ``oracle_gaps``.
 
-    Raises ParameterError, before any instance is built, when max_q is
-    negative or exceeds ``SCHEME_CHECK_CAP``.
+    Raises ParameterError, before any instance is built, when max_q is not
+    a nonnegative integer (the rule of ``ChannelParams``) or exceeds
+    ``SCHEME_CHECK_CAP``.
     """
-    if max_q < 0:
+    if not isinstance(max_q, int) or max_q < 0:
         raise ParameterError(f"max_q must be a nonnegative integer, got {max_q!r}")
     if max_q > SCHEME_CHECK_CAP:
         raise ParameterError(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")

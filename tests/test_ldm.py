@@ -68,6 +68,15 @@ class TestDownShift:
             assert shift(shift(x, q - e1, q), q - e2, q) == shift(x, q - e1 - e2, q)
 
 
+def reference_channel(x1, x2, p):
+    """``ldm_channel`` as 0.22.0 wrote it: the q property and a fresh mask per use."""
+    q = p.q
+    if x1 < 0 or x2 < 0 or (x1 | x2) >> q:
+        raise ParameterError(f"channel inputs must be bitsets of length q={q}")
+    ones = (1 << q) - 1
+    return ((x1 << (q - p.n11)) ^ (x2 << (q - p.n21))) & ones, ((x1 ^ x2) << (q - p.n2)) & ones
+
+
 class TestLdmChannel:
     def test_zero_inputs(self):
         assert ldm_channel(0, 0, ChannelParams(3, 1, 2)) == (0, 0)
@@ -102,6 +111,21 @@ class TestLdmChannel:
             r1 = ldm_channel(a, c, p)
             r2 = ldm_channel(b, d, p)
             assert lhs == (r1[0] ^ r2[0], r1[1] ^ r2[1])
+
+    @settings(derandomize=True, max_examples=500, database=None, deadline=None)
+    @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80), st.data())
+    def test_matches_reference(self, n11, n21, n2, data):
+        p = ChannelParams(n11, n21, n2)
+        # inputs within 1..q, a few levels past it, and negative ones
+        x = st.integers(-2, (1 << p.q + 3) - 1)
+        x1, x2 = data.draw(x), data.draw(x)
+        try:
+            expected = reference_channel(x1, x2, p)
+        except ParameterError as e:
+            with pytest.raises(ParameterError, match=f"^{e}$"):
+                ldm_channel(x1, x2, p)
+        else:
+            assert ldm_channel(x1, x2, p) == expected
 
     def test_both_senders_reach_eavesdropper_at_equal_strength(self):
         rng = random.Random(3)
@@ -174,8 +198,10 @@ def added_rank_0_20(base, extra):
     return len(pivots) - base_rank
 
 
-# every unit column of the q = 64 table, the very int objects the grid's maps hold
-UNIT_COLUMNS_64 = scheme._columns(64, ((1 << 64) - 1, 0, 0))[0]
+# every unit column of the kept q = 64 table (a map with shift 0 is the table's
+# first 64 entries), the very int objects the grid's maps hold
+UNIT_COLUMNS_64 = scheme.build_linear_scheme(scheme.Allocation((1 << 64) - 1, 0),
+                                             ChannelParams(64, 0, 0)).C
 
 
 @st.composite

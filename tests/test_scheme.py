@@ -249,8 +249,8 @@ class TestBuildLinearScheme:
 
 
 def per_bit_columns(mask, shift1, shift2, q):
-    """Reference for one job of ``scheme._columns``: every set bit shifted on
-    its own, truncated at q."""
+    """Reference for ``scheme._columns`` and ``scheme._reached_columns``:
+    every set bit shifted on its own, truncated at q."""
     full = (1 << q) - 1
     levels = [1 << i for i in range(q) if mask >> i & 1]
     return (tuple(b << shift1 & full for b in levels),
@@ -293,11 +293,10 @@ class TestColumns:
     @example((0b1011_0111, 2, 7, 8))
     def test_matches_per_bit_reference(self, job):
         mask, shift1, shift2, q = job
-        assert scheme._columns(q, (mask, shift1, shift2)) == [*per_bit_columns(*job)]
-        # two masks in one pass: each keeps its own maps, in job order
-        other = (mask >> 1, shift2, shift1, q)
-        assert scheme._columns(q, (mask, shift1, shift2), other[:3]) == [
-            *per_bit_columns(*job), *per_bit_columns(*other)]
+        # both compilers, whichever side of the cap q is on
+        expected = per_bit_columns(*job)
+        assert scheme._columns(scheme._unit_table(q), mask, shift1, shift2) == expected
+        assert scheme._reached_columns(q, mask, shift1, shift2) == expected
 
     def test_tables_kept_up_to_the_verification_cap(self):
         # one constant: the grid cap of verify and the CLI is the table cap

@@ -219,3 +219,42 @@ class TestCsvWriter:
         seen.clear()
         assert csv_text(csv_writer_csv, rows) == text
         assert len(seen) == 24_510  # ten cells of each of the 2,451 rows
+
+
+class TestSpecNumbersAreRead:
+    """``run_sweep`` reads every number of the spec by ``to_fraction``, as the
+    CLI reads its flags: a str, float or int gives the rows of its Fraction."""
+
+    BASE = SweepSpec("beta1", F(1, 2), F(1), F(1, 4), {"beta2": F(1)})
+
+    @pytest.mark.parametrize("field,given,exact", [
+        ("log_snr1", "40", F(40)),
+        ("const_c", "0.5", F(1, 2)),
+        ("start", "0.5", F(1, 2)),
+        ("stop", 1.0, F(1)),
+        ("step", "1/4", F(1, 4)),
+        ("fixed", {"beta2": "1"}, {"beta2": F(1)}),
+        ("fixed", {"beta2": 0.75}, {"beta2": F(3, 4)}),
+    ])
+    def test_gaussian_spec(self, field, given, exact):
+        rows = run_sweep(self.BASE._replace(**{field: given}))
+        assert rows == run_sweep(self.BASE._replace(**{field: exact}))
+        assert len(rows) == 3
+
+    def test_deterministic_spec(self):
+        spec = SweepSpec("n21", "0", 4.0, 1, {"n11": "20", "n2": 15})
+        assert run_sweep(spec) == run_sweep(
+            SweepSpec("n21", F(0), F(4), F(1), {"n11": F(20), "n2": F(15)}))
+
+    @pytest.mark.parametrize("field,given,message", [
+        ("const_c", "-0.5", "the gap constant c must be nonnegative"),
+        ("log_snr1", "1e100000", "decimal exponent beyond"),
+        ("step", "0", "sweep step must be positive"),
+    ])
+    def test_bad_values_raise_parameter_error(self, field, given, message):
+        with pytest.raises(ParameterError, match=message):
+            run_sweep(self.BASE._replace(**{field: given}))
+
+    def test_non_integer_gain_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="^n2 must be an integer, got 5/2$"):
+            run_sweep(SweepSpec("n21", 0, 4, 1, {"n11": 20, "n2": 2.5}))

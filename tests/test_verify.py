@@ -22,6 +22,7 @@ from wiretap_helper import (
     build_linear_scheme,
     construct_allocation,
     decodable,
+    ldm_channel,
     leakage,
     oracle_best_rate,
     r_achievable,
@@ -118,6 +119,19 @@ class TestDecodable:
             assert decodable(s) == ok
 
 
+# (C, message levels, jam levels): decodable by rank, but y1 from the channel
+# is not what C and D describe
+MISS_THE_CHANNEL = [
+    ((0b010, 0b001, 0b100), (1, 2, 3), ()),
+    ((0b001, 0b010), (1, 3), ()),
+    ((0b001,), (1,), (3,)),
+]
+
+
+def miss_the_channel(C, msg, jam):
+    return make_scheme(C, (0,) * len(jam), C, (), msg=msg, jam=jam)
+
+
 class TestSimulateRoundtrip:
     def test_empty_scheme_vacuously_true(self):
         p = ChannelParams(3, 1, 2)
@@ -138,15 +152,11 @@ class TestSimulateRoundtrip:
         with pytest.raises(ContractError):
             simulate_roundtrip(s, 5, 0)
 
-    @pytest.mark.parametrize("C,msg,jam", [
-        ((0b010, 0b001, 0b100), (1, 2, 3), ()),
-        ((0b001, 0b010), (1, 3), ()),
-        ((0b001,), (1,), (3,)),
-    ], ids=["columns-permuted-against-channel", "message-level-left-out-of-maps",
-            "jam-level-left-out-of-maps"])
+    @pytest.mark.parametrize("C,msg,jam", MISS_THE_CHANNEL,
+                             ids=["columns-permuted-against-channel",
+                                  "message-level-left-out-of-maps", "jam-level-left-out-of-maps"])
     def test_maps_that_miss_the_channel_fail(self, C, msg, jam):
-        # decodable by rank, but y1 from the channel is not what C and D describe
-        s = make_scheme(C, (0,) * len(jam), C, (), msg=msg, jam=jam)
+        s = miss_the_channel(C, msg, jam)
         assert decodable(s)
         assert not simulate_roundtrip(s, 50, seed=0)
 
@@ -154,6 +164,108 @@ class TestSimulateRoundtrip:
         p = ChannelParams(9, 7, 9)
         s = build_linear_scheme(construct_allocation(p), p)
         assert simulate_roundtrip(s, 64, seed=5) == simulate_roundtrip(s, 64, seed=5)
+
+
+def per_level_place(v, mask):
+    """Reference encoder of the 0.22.0 roundtrip: bit j of v onto the j-th set
+    level of the mask, one level at a time."""
+    x = 0
+    while mask:
+        if v & 1:
+            x |= mask & -mask
+        v >>= 1
+        mask &= mask - 1
+    return x
+
+
+def roundtrip_0_22(s, trials, seed):
+    """``simulate_roundtrip`` as 0.22.0 wrote it: per-level encoding and two
+    dict lookups per reduction step."""
+    if not decodable(s):
+        raise ContractError("simulate_roundtrip requires a decodable scheme")
+    basis = {}
+
+    def reduce(v, inputs):
+        while v and (v.bit_length() - 1) in basis:
+            b, combined = basis[v.bit_length() - 1]
+            v, inputs = v ^ b, inputs ^ combined
+        return v, inputs
+
+    for j, col in enumerate(s.C + s.D):
+        v, inputs = reduce(col, 1 << j)
+        if v:
+            basis[v.bit_length() - 1] = (v, inputs)
+    getrandbits = random.Random(seed).getrandbits
+    for _ in range(trials):
+        w = getrandbits(s.k) if s.k else 0
+        u = getrandbits(s.m) if s.m else 0
+        y1, _y2 = ldm_channel(per_level_place(w, s.allocation.message),
+                              per_level_place(u, s.allocation.jam), s.params)
+        residue, inputs = reduce(y1, 0)
+        if residue or inputs & (1 << s.k) - 1 != w:
+            return False
+    return True
+
+
+@st.composite
+def level_masks(draw):
+    """Masks of up to 200 levels: any, whole runs, or scattered levels."""
+    width = draw(st.integers(0, 200))
+    runs = st.lists(st.tuples(st.integers(0, width), st.integers(0, width)), max_size=6)
+    return draw(st.one_of(
+        st.integers(0, (1 << width) - 1),
+        runs.map(lambda rs: functools.reduce(
+            xor, ((1 << max(a, b)) - (1 << min(a, b)) for a, b in rs), 0)),
+        st.sets(st.integers(0, max(width - 1, 0)), max_size=8).map(
+            lambda s: sum(1 << i for i in s)),
+    ))
+
+
+def channel_gains(rng, q):
+    """A gain triple whose largest gain is q."""
+    gains = [q, rng.randint(0, q), rng.randint(0, q)]
+    rng.shuffle(gains)
+    return ChannelParams(*gains)
+
+
+def roundtrip_cases(rng, count):
+    """Random decodable schemes with unit, mixed and random columns."""
+    cases = []
+    while len(cases) < count:
+        p = channel_gains(rng, rng.randint(1, 12))
+        a = Allocation(rng.getrandbits(p.n11), rng.getrandbits(p.n2))
+        s = build_linear_scheme(a, p)
+        kind = rng.choice(["unit", "mixed", "mixed-jam", "random"])
+        if kind == "mixed":
+            s = mixed(s)
+        elif kind == "mixed-jam":  # same jam span: still decodes through the channel
+            s = s._replace(B=mix(s.B), D=mix(s.D))
+        elif kind == "random":
+            s = s._replace(C=random_matrix(rng, p.q, s.k), D=random_matrix(rng, p.q, s.m))
+        if decodable(s):
+            cases.append(s)
+    return cases
+
+
+class TestRunBasedRoundtrip:
+    """The run-based encoder and one-lookup reduction of ``simulate_roundtrip``
+    against 0.22.0's per-level roundtrip: same draws, same verdicts."""
+
+    @settings(derandomize=True, max_examples=500, database=None, deadline=None)
+    @given(level_masks(), st.integers(0, (1 << 210) - 1))
+    def test_encoder_matches_per_level_place(self, mask, v):
+        assert verify._place(v, verify._level_runs(mask)) == per_level_place(v, mask)
+
+    def test_same_verdicts_as_0_22(self):
+        cases = roundtrip_cases(random.Random(23), 300)
+        cases += [miss_the_channel(*case) for case in MISS_THE_CHANNEL]
+        verdicts = Counter()
+        for s in cases:
+            for seed in range(4):
+                verdict = simulate_roundtrip(s, 20, seed)
+                assert verdict == roundtrip_0_22(s, 20, seed), (s, seed)
+                verdicts[verdict] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 def naive_oracle(p):
@@ -389,6 +501,16 @@ class TestRunVerification:
         monkeypatch.setattr(verify, "iter_instances", no_instances)
         with pytest.raises(ParameterError, match="^max_q must be a nonnegative integer, got -1$"):
             run_verification(-1)
+
+    @pytest.mark.parametrize("max_q", [2.5, "3", None, 3.0])
+    def test_non_integer_max_q_is_checked_before_any_instance(self, monkeypatch, max_q):
+        def no_instances(max_q):
+            raise AssertionError("an instance was built for a non-integer max_q")
+
+        monkeypatch.setattr(verify, "iter_instances", no_instances)
+        with pytest.raises(ParameterError,
+                           match=f"^max_q must be a nonnegative integer, got {max_q!r}$"):
+            run_verification(max_q)
 
     def test_grid_without_a_scheme_is_not_ok(self):
         # q <= 0 holds only the singular instance (0, 0, 0)
