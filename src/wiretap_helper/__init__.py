@@ -1,7 +1,7 @@
 """Secrecy-rate analysis for the linear deterministic wiretap channel with a helper."""
 
 from .bounds import UpperBounds, gaussian_upper_bounds, upper_bounds
-from .errors import ContractError, ParameterError, SingularCaseError
+from .errors import ParameterError, SingularCaseError
 from .gaussian import (
     GaussianParams,
     GaussianRateBreakdown,
@@ -35,13 +35,12 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "Allocation",
     "CaseTag",
     "ChannelParams",
-    "ContractError",
     "GaussianParams",
     "GaussianRateBreakdown",
     "LinearScheme",

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 
 class ParameterError(ValueError):
-    """An argument violates a documented precondition (shape, range, domain)."""
+    """The one type the package raises for a refused argument: a value that
+    is no number, or one outside its documented shape, range or domain."""
 
 
-class SingularCaseError(ValueError):
+class SingularCaseError(ParameterError):
     """No alignment scheme exists for this instance (equal direct and helper gains).
 
     Callers that need a scheme anyway should fall back to the private-only
     allocation, whose rate is the private rate of the instance.
     """
-
-
-class ContractError(RuntimeError):
-    """An operation was invoked on an object that fails its required contract."""

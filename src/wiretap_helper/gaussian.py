@@ -33,22 +33,24 @@ MAX_DECIMAL_EXPONENT = 10_000
 
 
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
-    """Exact rational from user input; floats go through their repr so that
-    decimal literals like 0.05 mean 1/20.  A string whose decimal exponent
-    is beyond +-``MAX_DECIMAL_EXPONENT`` raises ParameterError."""
+    """Exact rational from user input, the package's one reader of numbers;
+    floats go through their repr so that 0.05 means 1/20.  Raises
+    ParameterError for a value that is no finite rational, or a string whose
+    decimal exponent is beyond +-``MAX_DECIMAL_EXPONENT``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        return Fraction(str(x))
     if isinstance(x, str):
         _, e, exponent = x.lower().rpartition("e")  # a valid "e" starts the exponent
         try:
             huge = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
-        except ValueError:  # not an exponent: Fraction reports the literal
+        except ValueError:  # not an exponent: Fraction refuses the literal
             huge = False
         if huge:
             raise ParameterError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError(f"not a rational number: {x!r}") from exc
 
 
 class _Exponents(NamedTuple):
@@ -63,7 +65,6 @@ class GaussianParams(_Exponents):
     __slots__ = ()
 
     def __new__(cls, log_snr1, beta1, beta2) -> GaussianParams:
-        # each value is read exactly, by ``to_fraction``
         log_snr1, beta1, beta2 = to_fraction(log_snr1), to_fraction(beta1), to_fraction(beta2)
         if log_snr1.numerator <= 0:
             raise ParameterError("log_snr1 must be positive")
@@ -138,8 +139,9 @@ def level_rate(g: GaussianParams, level: int) -> float:
     if n >= d:
         raise ParameterError("power levels require beta1 < 1")
     top = -(-d // (d - n))  # ceil(l_max), l_max = d / (d - n)
-    if not 1 <= level <= top:
-        raise ParameterError(f"level {level} out of range 1..{top}")
+    if type(level) is not int or not 1 <= level <= top:
+        raise ParameterError(f"level {level} out of range 1..{top}" if type(level) is int
+                             else f"level must be an integer, got {level!r}")
     hi, lo = _edge(g, level - 1), _edge(g, level)
     return max(0.0, _log2_theta(hi, lo) - _log2_1p_exp2(1.0 + lo))
 

@@ -182,6 +182,8 @@ def write_svg(rows: list[SweepRow], fh: IO[str], axis_label: str) -> None:
     except OverflowError:
         raise ParameterError("sweep values beyond the float range cannot be plotted; "
                              "write CSV instead") from None
+    if not xs:
+        raise ParameterError("an SVG plot needs at least one row")
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     y_hi = max(1.0, max(ach, default=1.0), max(ubs, default=1.0)) * 1.05

@@ -26,7 +26,7 @@ import random
 from typing import Iterator, NamedTuple
 
 from .bounds import _doubled_bounds, upper_bounds
-from .errors import ContractError, ParameterError
+from .errors import ParameterError
 from .ldm import ChannelParams, _added_rank, even_blocks, ldm_channel
 from .scheme import (SCHEME_CHECK_CAP, Allocation, CaseTag, LinearScheme, _allocation,
                      _rate_kernel, _runs, build_linear_scheme)
@@ -62,10 +62,12 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     bits of the combined record are the decoded message.  A decodable
     scheme's column dependencies involve jam inputs only, so the decoded
     message does not depend on the basis.  Each trial draws k message bits,
-    then m jam bits, from ``random.Random(seed)``.
+    then m jam bits, from ``random.Random(seed)``; trials must be an int >= 1.
     """
+    if type(trials) is not int or trials < 1:
+        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
     if not decodable(s):
-        raise ContractError("simulate_roundtrip requires a decodable scheme")
+        raise ParameterError("simulate_roundtrip requires a decodable scheme")
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, inputs)
     get = basis.get
 

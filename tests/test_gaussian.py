@@ -1,11 +1,14 @@
 """Gaussian rate evaluation: levels, decoding bounds, and the closed form."""
 
+import io
 import math
 import time
+from contextlib import redirect_stderr
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wiretap_helper import (
     CaseTag,
@@ -21,9 +24,11 @@ from wiretap_helper import (
     level_rate,
     odd_level_sum,
     r_achievable,
+    run_sweep,
     to_fraction,
 )
 from wiretap_helper import gaussian
+from wiretap_helper.cli import main
 from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.gaussian import _edge, _log2_1p_exp2, _log2_theta
 from wiretap_helper.scheme import _rate_kernel
@@ -79,10 +84,81 @@ class TestDecimalExponentCap:
 
     @pytest.mark.parametrize("text", ["tree", "1e", "1e5e", "e5", "1/0e3"])
     def test_other_literals_keep_the_fraction_error(self, text):
-        with pytest.raises(ValueError) as exc:
+        # a malformed literal is not the cap's business: it gets the refusal
+        # of any value that is no number
+        with pytest.raises(ParameterError) as exc:
             to_fraction(text)
-        assert not isinstance(exc.value, ParameterError)
-        assert str(exc.value) == f"Invalid literal for Fraction: {text!r}"
+        assert str(exc.value) == f"not a rational number: {text!r}"
+
+
+# Values that are no finite rational number, one of each way Fraction refuses
+# one: ValueError, TypeError, ZeroDivisionError and OverflowError.
+JUNK = [None, "", "abc", "1e", "1/0", "1/0e3", "1" * 5000, float("nan"), float("inf"),
+        Decimal("NaN"), Decimal("Infinity"), b"1", 1j, [], object()]
+
+# Every library reader of a number, fed one junk value; the others are valid.
+JUNK_READERS = {
+    "to_fraction": to_fraction,
+    "GaussianParams.log_snr1": lambda x: GaussianParams(x, "0.5", 1),
+    "GaussianParams.beta1": lambda x: GaussianParams(40, x, 1),
+    "GaussianParams.beta2": lambda x: GaussianParams(40, "0.5", x),
+    "gaussian_upper_bounds.c": lambda x: gaussian_upper_bounds(ChannelParams(3, 2, 1), x),
+    "SweepSpec.start": lambda x: run_sweep(SweepSpec("beta1", x, 1, "0.25", {"beta2": 1})),
+    "SweepSpec.stop": lambda x: run_sweep(SweepSpec("beta1", "0.5", x, "0.25", {"beta2": 1})),
+    "SweepSpec.step": lambda x: run_sweep(SweepSpec("beta1", "0.5", 1, x, {"beta2": 1})),
+    "SweepSpec.fixed beta": lambda x: run_sweep(SweepSpec("beta1", "0.5", 1, "0.25",
+                                                          {"beta2": x})),
+    "SweepSpec.fixed gain": lambda x: run_sweep(SweepSpec("n11", 1, 3, 1, {"n21": x, "n2": 1})),
+    "SweepSpec.log_snr1": lambda x: run_sweep(SweepSpec("beta1", "0.5", 1, "0.25",
+                                                        {"beta2": 1}, log_snr1=x)),
+    "SweepSpec.const_c": lambda x: run_sweep(SweepSpec("beta1", "0.5", 1, "0.25",
+                                                       {"beta2": 1}, const_c=x)),
+}
+
+GAUSSIAN_ARGV = ["gaussian", "--log-snr1", "40", "--beta1", "0.5", "--beta2", "1"]
+SWEEP_ARGV = ["sweep", "--axis", "beta1", "--start", "0.5", "--stop", "1", "--step", "0.25",
+              "--beta2", "1"]
+GAUSS_FLAGS = ("--log-snr1", "--beta1", "--beta2", "--const-c")
+RATIONAL_FLAGS = ([(GAUSSIAN_ARGV, flag) for flag in GAUSS_FLAGS]
+                  + [(SWEEP_ARGV, flag) for flag in ("--start", "--stop", "--step", *GAUSS_FLAGS)])
+
+
+class TestNotANumber:
+    """``to_fraction`` decides what counts as a number, for the library and the
+    CLI alike: a value that is none is a ParameterError wherever it enters."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(sorted(JUNK_READERS)), st.sampled_from(JUNK))
+    def test_every_library_reader_raises_parameter_error(self, reader, x):
+        # None is "not given" for these two; ``run_sweep`` defaults it
+        assume(x is not None or reader not in ("SweepSpec.log_snr1", "SweepSpec.const_c"))
+        with pytest.raises(ParameterError) as exc:
+            JUNK_READERS[reader](x)
+        assert str(exc.value) == f"not a rational number: {x!r}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(RATIONAL_FLAGS), st.sampled_from(JUNK))
+    def test_every_rational_flag_exits_2(self, command, x):
+        argv, flag = command
+        token = str(x)
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([*argv, flag, token])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not a rational number: {token!r}" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    @given(st.one_of(st.text(), st.floats(), st.decimals()))
+    def test_a_value_is_read_by_fraction_or_refused(self, x):
+        read = lambda: F(str(x) if isinstance(x, float) else x)
+        try:
+            got = to_fraction(x)
+        except ParameterError as exc:
+            if not str(exc).startswith("decimal exponent beyond"):
+                with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
+                    read()
+        else:
+            assert got == read()
 
 
 def level_theta(g, level):
@@ -110,6 +186,12 @@ class TestTheta:
             level_rate(gp(20, 0.75, 1), 5)
         with pytest.raises(ParameterError):
             level_rate(gp(20, 0.75, 1), 0)
+
+    @pytest.mark.parametrize("level", [1.5, 2.0, True, F(2), "1", None])
+    def test_a_level_that_is_no_int_is_refused(self, level):
+        with pytest.raises(ParameterError) as exc:
+            level_rate(GaussianParams(40, "0.75", 1), level)
+        assert str(exc.value) == f"level must be an integer, got {level!r}"
 
 
 class TestLevelRate:

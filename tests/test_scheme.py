@@ -154,6 +154,12 @@ class TestConstructAllocation:
         with pytest.raises(SingularCaseError):
             construct_allocation(ChannelParams(7, 7, 3))
 
+    def test_singular_is_a_parameter_error(self):
+        # one refusal type: callers that catch ParameterError catch this too
+        assert issubclass(SingularCaseError, ParameterError)
+        with pytest.raises(ParameterError):
+            construct_allocation(ChannelParams(7, 7, 3))
+
     def test_message_count_matches_formula_on_grid(self):
         for p in iter_instances(14):
             br = r_achievable(p)

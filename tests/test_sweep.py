@@ -15,7 +15,7 @@ from wiretap_helper.bounds import _doubled_bounds, gaussian_upper_bounds, upper_
 from wiretap_helper.gaussian import correspondence, gaussian_rate
 from wiretap_helper.scheme import CaseTag, r_achievable
 from wiretap_helper.sweep import (DET_AXES, GAUSS_AXES, SweepRow, _normalized, run_sweep,
-                                  write_csv)
+                                  write_csv, write_svg)
 
 
 def row_by_row_sweep(spec):
@@ -258,3 +258,10 @@ class TestSpecNumbersAreRead:
     def test_non_integer_gain_raises_parameter_error(self):
         with pytest.raises(ParameterError, match="^n2 must be an integer, got 5/2$"):
             run_sweep(SweepSpec("n21", 0, 4, 1, {"n11": 20, "n2": 2.5}))
+
+
+def test_svg_of_no_rows_raises_parameter_error():
+    fh = io.StringIO()
+    with pytest.raises(ParameterError, match="^an SVG plot needs at least one row$"):
+        write_svg([], fh, "x")
+    assert fh.getvalue() == ""

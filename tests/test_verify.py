@@ -15,7 +15,6 @@ from wiretap_helper import (
     Allocation,
     CaseTag,
     ChannelParams,
-    ContractError,
     LinearScheme,
     OracleGap,
     ParameterError,
@@ -149,8 +148,17 @@ class TestSimulateRoundtrip:
 
     def test_non_decodable_scheme_is_a_contract_error(self):
         s = make_scheme(I3, I3, I3, I3, msg=(1, 2, 3), jam=(1, 2, 3))
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError, match="requires a decodable scheme"):
             simulate_roundtrip(s, 5, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.0, True, "50", None])
+    def test_trials_must_be_a_positive_int(self, trials):
+        # with no trial run, a scheme that misses the channel would pass
+        s = miss_the_channel(*MISS_THE_CHANNEL[0])
+        assert not simulate_roundtrip(s, 50, seed=0)
+        with pytest.raises(ParameterError) as exc:
+            simulate_roundtrip(s, trials, seed=0)
+        assert str(exc.value) == f"trials must be a positive integer, got {trials!r}"
 
     @pytest.mark.parametrize("C,msg,jam", MISS_THE_CHANNEL,
                              ids=["columns-permuted-against-channel",
@@ -182,7 +190,7 @@ def roundtrip_0_22(s, trials, seed):
     """``simulate_roundtrip`` as 0.22.0 wrote it: per-level encoding and two
     dict lookups per reduction step."""
     if not decodable(s):
-        raise ContractError("simulate_roundtrip requires a decodable scheme")
+        raise ParameterError("simulate_roundtrip requires a decodable scheme")
     basis = {}
 
     def reduce(v, inputs):
