@@ -35,7 +35,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 __all__ = [
     "Allocation",

@@ -35,8 +35,8 @@ MAX_DECIMAL_EXPONENT = 10_000
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
     """Exact rational from user input, the package's one reader of numbers;
     floats go through their repr so that 0.05 means 1/20.  Raises
-    ParameterError for a value that is no finite rational, or a string whose
-    decimal exponent is beyond +-``MAX_DECIMAL_EXPONENT``."""
+    ParameterError for a value that is no finite rational, a string with "_"
+    or inner whitespace, or a decimal exponent beyond +-``MAX_DECIMAL_EXPONENT``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
@@ -47,6 +47,8 @@ def to_fraction(x: int | float | str | Fraction) -> Fraction:
             huge = False
         if huge:
             raise ParameterError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {x!r}")
+        if "_" in x or len(x.split()) > 1:  # Fraction reads 1_0 from 3.11, 1 / 2 from 3.12
+            raise ParameterError(f"not a rational number: {x!r}")
     try:
         return Fraction(str(x) if isinstance(x, float) else x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:

@@ -35,7 +35,7 @@ class ChannelParams(_Gains):
         if not (type(n11) is int and type(n21) is int and type(n2) is int
                 and (n11 | n21 | n2) >= 0):
             for name, v in zip(cls._fields, (n11, n21, n2)):
-                if not isinstance(v, int) or v < 0:
+                if type(v) is not int or v < 0:
                     raise ParameterError(f"{name} must be a nonnegative integer, got {v!r}")
         return tuple.__new__(cls, (n11, n21, n2))
 
@@ -74,7 +74,7 @@ def ldm_channel(x1: int, x2: int, p: ChannelParams) -> tuple[int, int]:
     q = n11 if n11 > n21 else n21
     if n2 > q:
         q = n2
-    if x1 < 0 or x2 < 0 or (x1 | x2) >> q:
+    if type(x1) is not int or type(x2) is not int or x1 < 0 or x2 < 0 or (x1 | x2) >> q:
         raise ParameterError(f"channel inputs must be bitsets of length q={q}")
     full = (1 << q) - 1
     return ((x1 << q - n11) ^ (x2 << q - n21)) & full, ((x1 ^ x2) << q - n2) & full

@@ -78,7 +78,7 @@ class LinearScheme(NamedTuple):
 
 def l_func(p: int, q: int) -> int:
     """Number of whole q-sized blocks in p; zero when q is zero."""
-    if p < 0 or q < 0:
+    if type(p) is not int or type(q) is not int or p < 0 or q < 0:
         raise ParameterError("l(p, q) expects nonnegative arguments")
     if q == 0:
         return 0
@@ -178,8 +178,11 @@ def build_linear_scheme(a: Allocation, p: ChannelParams) -> LinearScheme:
     kept unit-column table of q; above the cap, ``_reached_columns``."""
     message, jam = a
     n11, n21, n2 = p
-    if message < 0 or jam < 0 or message >> n11 or jam >> n2:
+    if (type(message) is not int or type(jam) is not int
+            or message < 0 or jam < 0 or message >> n11 or jam >> n2):
         for name, mask, gain in (("message", message, n11), ("jam", jam, n2)):
+            if type(mask) is not int:
+                raise ParameterError(f"{name} levels must be an int bitset, got {mask!r}")
             if mask < 0 or mask >> gain:
                 raise ParameterError(f"{name} levels {mask:#b} out of range 1..{gain}")
     q = n11 if n11 > n21 else n21

@@ -170,20 +170,20 @@ def _svg_path(points: list[tuple[float, float]]) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
 
 
-def write_svg(rows: list[SweepRow], fh: IO[str], axis_label: str) -> None:
+def write_svg(rows: Iterable[SweepRow], fh: IO[str], axis_label: str) -> None:
     """Minimal static line plot: normalized achievable and converse curves."""
     width, height = 720, 460
     ml, mr, mt, mb = 70, 24, 24, 56
     plot_w, plot_h = width - ml - mr, height - mt - mb
     try:
-        xs = [float(r.axis_value) for r in rows]
-        ach = [float(r.normalized_ach) for r in rows]
-        ubs = [float(r.normalized_ub) for r in rows]
+        points = [(float(r.axis_value), float(r.normalized_ach), float(r.normalized_ub))
+                  for r in rows]
     except OverflowError:
         raise ParameterError("sweep values beyond the float range cannot be plotted; "
                              "write CSV instead") from None
-    if not xs:
+    if not points:
         raise ParameterError("an SVG plot needs at least one row")
+    xs, ach, ubs = zip(*points)
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
     y_hi = max(1.0, max(ach, default=1.0), max(ubs, default=1.0)) * 1.05

@@ -230,7 +230,7 @@ def run_verification(
     a nonnegative integer (the rule of ``ChannelParams``) or exceeds
     ``SCHEME_CHECK_CAP``.
     """
-    if not isinstance(max_q, int) or max_q < 0:
+    if type(max_q) is not int or max_q < 0:
         raise ParameterError(f"max_q must be a nonnegative integer, got {max_q!r}")
     if max_q > SCHEME_CHECK_CAP:
         raise ParameterError(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")

@@ -149,16 +149,37 @@ class TestNotANumber:
         assert "Traceback" not in err.getvalue()
 
     @given(st.one_of(st.text(), st.floats(), st.decimals()))
+    @example("1_0")
+    @example("1 / 2")
     def test_a_value_is_read_by_fraction_or_refused(self, x):
         read = lambda: F(str(x) if isinstance(x, float) else x)
+        # Fraction reads these from 3.11 or 3.12 on; to_fraction refuses them on all
+        outside_grammar = isinstance(x, str) and ("_" in x or len(x.split()) > 1)
         try:
             got = to_fraction(x)
         except ParameterError as exc:
-            if not str(exc).startswith("decimal exponent beyond"):
+            if not str(exc).startswith("decimal exponent beyond") and not outside_grammar:
                 with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
                     read()
         else:
+            assert not outside_grammar
             assert got == read()
+
+    @pytest.mark.parametrize("text,plain", [("1_0", "10"), ("1e1_0", "1e10"), ("1 / 2", "1/2"),
+                                            ("1/ 2", "1/2")])
+    def test_underscores_and_inner_spaces_are_refused_on_every_python(self, text, plain):
+        with pytest.raises(ParameterError) as exc:
+            to_fraction(text)
+        assert str(exc.value) == f"not a rational number: {text!r}"
+        assert to_fraction(f" {plain} ") == F(plain)  # outer spaces are read
+
+    def test_the_cli_refuses_an_underscore(self):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["gaussian", "--log-snr1", "1_0", "--beta1", "0.5", "--beta2", "1"])
+        assert exc.value.code == 2
+        assert "argument --log-snr1: not a rational number: '1_0'" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def level_theta(g, level):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -256,15 +257,21 @@ class TestChannelParams:
         ((1, 2, 3.0), "n2 must be a nonnegative integer, got 3.0"),
         (("1", 2, 3), "n11 must be a nonnegative integer, got '1'"),
         ((1, None, 3), "n21 must be a nonnegative integer, got None"),
+        ((1, 2, True), "n2 must be a nonnegative integer, got True"),
+        ((2.0, 2, 3), "n11 must be a nonnegative integer, got 2.0"),
+        ((1, 1.5, 3), "n21 must be a nonnegative integer, got 1.5"),
+        ((1, 2, F(2)), "n2 must be a nonnegative integer, got Fraction(2, 1)"),
     ])
     def test_first_bad_gain_is_named(self, gains, message):
         with pytest.raises(ParameterError) as exc:
             ChannelParams(*gains)
         assert str(exc.value) == message
 
-    def test_int_subclasses_still_accepted(self):
-        # bool is an int: the fast path only skips the per-gain checks
-        assert ChannelParams(True, 0, 2).q == 2
+    def test_int_subclasses_are_refused(self):
+        # bool is an int subclass, refused as every reader of an int refuses it
+        with pytest.raises(ParameterError) as exc:
+            ChannelParams(True, 0, 2)
+        assert str(exc.value) == "n11 must be a nonnegative integer, got True"
 
 
 class TestEvenBlocks:

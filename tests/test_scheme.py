@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -58,6 +59,36 @@ class TestPhi:
             for q in range(0, 40):
                 assert isinstance(phi1(p, q), int)
                 assert isinstance(phi2(p, q), int)
+
+
+# Every reader of an int argument that has no table of its own, fed one value
+# that is no int (the other arguments are valid), with the message it raises.
+P312 = ChannelParams(3, 1, 2)
+L_FUNC_MESSAGE = "l(p, q) expects nonnegative arguments"
+LDM_MESSAGE = "channel inputs must be bitsets of length q=3"
+INT_READERS = {
+    "l_func.p": (lambda v: l_func(v, 2), L_FUNC_MESSAGE),
+    "l_func.q": (lambda v: l_func(5, v), L_FUNC_MESSAGE),
+    "phi1.p": (lambda v: phi1(v, 2), L_FUNC_MESSAGE),
+    "phi1.q": (lambda v: phi1(5, v), L_FUNC_MESSAGE),
+    "phi2.p": (lambda v: phi2(v, 2), L_FUNC_MESSAGE),
+    "phi2.q": (lambda v: phi2(5, v), L_FUNC_MESSAGE),
+    "build_linear_scheme.message": (lambda v: build_linear_scheme(Allocation(v, 0), P312),
+                                    "message levels must be an int bitset, got {!r}"),
+    "build_linear_scheme.jam": (lambda v: build_linear_scheme(Allocation(1, v), P312),
+                                "jam levels must be an int bitset, got {!r}"),
+    "ldm_channel.x1": (lambda v: ldm_channel(v, 0, P312), LDM_MESSAGE),
+    "ldm_channel.x2": (lambda v: ldm_channel(1, v, P312), LDM_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 1.5, F(2), "1", None], ids=repr)
+@pytest.mark.parametrize("reader", sorted(INT_READERS))
+def test_a_value_that_is_no_int_is_refused(reader, value):
+    call, message = INT_READERS[reader]
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert str(exc.value) == message.format(value)
 
 
 class TestRPrivate:

@@ -265,3 +265,16 @@ def test_svg_of_no_rows_raises_parameter_error():
     with pytest.raises(ParameterError, match="^an SVG plot needs at least one row$"):
         write_svg([], fh, "x")
     assert fh.getvalue() == ""
+
+
+def test_svg_reads_its_rows_once():
+    rows = run_sweep(FIGURE)
+    as_list, as_iter = io.StringIO(), io.StringIO()
+    write_svg(rows, as_list, "beta1")
+    write_svg(iter(rows), as_iter, "beta1")
+    assert as_iter.getvalue() == as_list.getvalue()
+
+
+def test_svg_of_an_empty_iterator_raises_parameter_error():
+    with pytest.raises(ParameterError, match="^an SVG plot needs at least one row$"):
+        write_svg(iter([]), io.StringIO(), "x")
