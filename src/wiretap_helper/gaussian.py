@@ -35,10 +35,12 @@ MAX_DECIMAL_EXPONENT = 10_000
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
     """Exact rational from user input, the package's one reader of numbers;
     floats go through their repr so that 0.05 means 1/20.  Raises
-    ParameterError for a value that is no finite rational, a string with "_"
+    ParameterError for a bool, a value that is no finite rational, a string with "_"
     or inner whitespace, or a decimal exponent beyond +-``MAX_DECIMAL_EXPONENT``."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise ParameterError(f"not a rational number: {x!r}")
     if isinstance(x, str):
         _, e, exponent = x.lower().rpartition("e")  # a valid "e" starts the exponent
         try:

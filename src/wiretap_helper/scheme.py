@@ -237,16 +237,19 @@ def _reached_columns(q: int, mask: int, shift1: int,
     follow the set levels, not q."""
     runs, units = _runs(mask), {}
     return tuple(tuple([units[j] if j in units else units.setdefault(j, 1 << j) if j < q
-                        else 0 for r in runs for j in range(r.start + s, r.stop + s)])
+                        else 0 for lo, width, _ in runs for j in range(lo + s, lo + width + s)])
                  for s in (shift1, shift2))
 
 
-def _runs(mask: int) -> list[range]:
-    """The runs of consecutive set bits of a mask, from bit 0 up."""
+def _runs(mask: int) -> list[tuple[int, int, int]]:
+    """(lowest bit, width, 2^width - 1) of each run of consecutive set bits
+    of a mask, from bit 0 up."""
     out = []
     while mask:
         low = mask & -mask
         rest = mask & (mask + low)  # the carry clears the lowest run
-        out.append(range(low.bit_length() - 1, (mask ^ rest).bit_length()))
+        lo = low.bit_length() - 1
+        ones = (mask ^ rest) >> lo
+        out.append((lo, ones.bit_length(), ones))
         mask = rest
     return out

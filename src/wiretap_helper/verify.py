@@ -20,10 +20,10 @@ independently of the partition construction.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import math
 import random
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .bounds import _doubled_bounds, upper_bounds
 from .errors import ParameterError
@@ -84,7 +84,7 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         if v:
             basis[v.bit_length() - 1] = (v, inputs)
 
-    msg, jam = _level_runs(s.allocation.message), _level_runs(s.allocation.jam)
+    msg, jam = _runs(s.allocation.message), _runs(s.allocation.jam)
     k, m, p = len(s.A), len(s.B), s.params
     message_inputs = (1 << k) - 1
     getrandbits = random.Random(seed).getrandbits
@@ -97,12 +97,6 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         if residue or inputs & message_inputs != w:
             return False
     return True
-
-
-def _level_runs(mask: int) -> list[tuple[int, int, int]]:
-    """(lowest bit, width, 2^width - 1) of each run of consecutive set bits
-    of a level mask, from bit 0 up."""
-    return [(r.start, len(r), (1 << len(r)) - 1) for r in _runs(mask)]
 
 
 def _place(v: int, runs: list[tuple[int, int, int]]) -> int:
@@ -163,23 +157,6 @@ def oracle_best_rate(p: ChannelParams) -> tuple[int, Allocation]:
     return message.bit_count(), tuple.__new__(Allocation, (message, jam & message))
 
 
-def _reservoir_slots(size: int, rng: random.Random) -> Iterator[tuple[int, int]]:
-    """(index, slot) pairs of a uniform sample of ``size`` items from a stream:
-    the item with that index (from 0) goes into that slot.  The first
-    ``size`` fill the slots; then Li's skip-based reservoir (Algorithm L, ACM
-    TOMS 1994) draws each skip at once: O(size * log(n / size)) draws for n."""
-    if size <= 0:
-        return
-    yield from zip(range(size), range(size))
-    index = size - 1
-    # w: the largest uniform key in the sample; each next item beats it with chance w
-    w = math.exp(math.log(1.0 - rng.random()) / size)
-    while True:
-        index += math.floor(math.log(1.0 - rng.random()) / math.log1p(-w)) + 1
-        yield index, rng.randrange(size)
-        w *= math.exp(math.log(1.0 - rng.random()) / size)
-
-
 def iter_instances(max_q: int):
     """All gain triples whose ambient length is at most max_q."""
     # ints from ``range`` need none of ``ChannelParams``' checks
@@ -219,7 +196,9 @@ def run_verification(
     and converse consistency over every instance with q <= max_q.
 
     A seeded uniform sample of ``ROUNDTRIP_SAMPLES`` decodable schemes with
-    k > 0 is also decoded end to end through the channel map.
+    k > 0 is also decoded end to end through the channel map.  It is a
+    bottom-k sample: in grid order each such scheme draws a 64-bit key from
+    ``random.Random(seed)``, and the smallest keys are kept.
 
     With the oracle enabled, also checks that the oracle's best rate
     dominates the formula and respects the converse; strict oracle gaps
@@ -228,19 +207,21 @@ def run_verification(
 
     Raises ParameterError, before any instance is built, when max_q is not
     a nonnegative integer (the rule of ``ChannelParams``) or exceeds
-    ``SCHEME_CHECK_CAP``.
+    ``SCHEME_CHECK_CAP``, or when seed is not an integer.
     """
     if type(max_q) is not int or max_q < 0:
         raise ParameterError(f"max_q must be a nonnegative integer, got {max_q!r}")
     if max_q > SCHEME_CHECK_CAP:
         raise ParameterError(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")
+    if type(seed) is not int:
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     instances = schemes_checked = singular = oracle_checked = 0
     failures: list[str] = []
     oracle_gaps: list[OracleGap] = []
-    sampled: dict[int, LinearScheme] = {}  # reservoir slot -> scheme
-    slots = _reservoir_slots(ROUNDTRIP_SAMPLES, random.Random(seed))
-    pick, slot = next(slots, (-1, 0))
-    eligible = 0  # decodable schemes with k > 0 so far: the reservoir's population
+    # max-heap of (-key, instance index, scheme): the unique index ends every compare
+    sample: list[tuple[int, int, LinearScheme]] = []
+    getrandbits = random.Random(seed).getrandbits
+    worst = 1 << 64 if ROUNDTRIP_SAMPLES else 0  # keys below it enter the sample
     for p in iter_instances(max_q):
         instances += 1
         n11, n21, n2 = p
@@ -268,11 +249,13 @@ def run_verification(
             if not decodable(s):
                 failures.append(f"{p}: constructed scheme is not decodable")
             elif s.A:  # k > 0
-                # reservoir sample: each such scheme is kept with the same probability
-                if eligible == pick:
-                    sampled[slot] = s
-                    pick, slot = next(slots)
-                eligible += 1
+                key = getrandbits(64)
+                if key < worst:
+                    heapq.heappush(sample, (-key, instances, s))
+                    if len(sample) > ROUNDTRIP_SAMPLES:
+                        heapq.heappop(sample)  # the largest key leaves
+                    if len(sample) == ROUNDTRIP_SAMPLES:
+                        worst = -sample[0][0]  # the largest kept key
         if with_oracle:
             rate, _w = oracle_best_rate(p)
             oracle_checked += 1
@@ -286,7 +269,7 @@ def run_verification(
                 )
             if rate > r_ach:
                 oracle_gaps.append(OracleGap(p, rate, r_ach))
-    for s in sorted(sampled.values(), key=lambda s: s.params):  # in grid order
+    for _, _, s in sorted(sample, key=lambda e: e[1]):  # in grid order
         if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):
             failures.append(f"{s.params}: roundtrip decoding failed")
     if schemes_checked == 0:

@@ -92,9 +92,10 @@ class TestDecimalExponentCap:
 
 
 # Values that are no finite rational number, one of each way Fraction refuses
-# one: ValueError, TypeError, ZeroDivisionError and OverflowError.
+# one: ValueError, TypeError, ZeroDivisionError and OverflowError.  A bool is
+# no number either, though Fraction reads it as 0 or 1.
 JUNK = [None, "", "abc", "1e", "1/0", "1/0e3", "1" * 5000, float("nan"), float("inf"),
-        Decimal("NaN"), Decimal("Infinity"), b"1", 1j, [], object()]
+        Decimal("NaN"), Decimal("Infinity"), b"1", 1j, [], object(), True, False]
 
 # Every library reader of a number, fed one junk value; the others are valid.
 JUNK_READERS = {

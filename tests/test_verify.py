@@ -263,7 +263,7 @@ class TestRunBasedRoundtrip:
     @settings(derandomize=True, max_examples=500, database=None, deadline=None)
     @given(level_masks(), st.integers(0, (1 << 210) - 1))
     def test_encoder_matches_per_level_place(self, mask, v):
-        assert verify._place(v, verify._level_runs(mask)) == per_level_place(v, mask)
+        assert verify._place(v, scheme._runs(mask)) == per_level_place(v, mask)
 
     def test_same_verdicts_as_0_22(self):
         cases = roundtrip_cases(random.Random(23), 300)
@@ -521,6 +521,16 @@ class TestRunVerification:
             run_verification(max_q)
         assert str(exc.value) == f"max_q must be a nonnegative integer, got {max_q!r}"
 
+    @pytest.mark.parametrize("seed", [[1], 1.5, "x", True, False, None, 2.0, F(2), "1"])
+    def test_non_integer_seed_is_checked_before_any_instance(self, monkeypatch, seed):
+        def no_instances(max_q):
+            raise AssertionError("an instance was built for a non-integer seed")
+
+        monkeypatch.setattr(verify, "iter_instances", no_instances)
+        with pytest.raises(ParameterError) as exc:
+            run_verification(4, seed=seed)
+        assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
     def test_grid_without_a_scheme_is_not_ok(self):
         # q <= 0 holds only the singular instance (0, 0, 0)
         run = run_verification(0)
@@ -599,16 +609,36 @@ class TestRunVerification:
         sigma = math.sqrt(seeds * p * (1 - p))
         assert all(abs(counts[e] - seeds * p) < 5 * sigma for e in eligible)
 
-    def test_skips_take_logarithmically_many_draws(self):
-        # picks past the first 25 of a 14,400-scheme stream (the q <= 24
-        # grid): about 25 ln(14,400 / 25) = 159, three draws each
-        for seed in range(5):
-            slots = verify._reservoir_slots(25, random.Random(seed))
-            picks = list(itertools.takewhile(lambda pick: pick[0] < 14_400, slots))
-            assert picks[:25] == [(i, i) for i in range(25)]
-            assert [i for i, _ in picks] == sorted({i for i, _ in picks})
-            assert 60 < len(picks) - 25 < 320
-        assert list(verify._reservoir_slots(0, random.Random(0))) == []
+    @pytest.mark.parametrize("max_q,seed", [(4, 0), (6, 7), (9, -3), (12, 2**70)])
+    def test_sample_is_the_smallest_keys(self, monkeypatch, max_q, seed):
+        # bottom-k: each eligible scheme draws a 64-bit key in grid order, and
+        # the 25 smallest keys are decoded, in grid order; any int seeds it
+        seen = []
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: seen.append(s.params) or True)
+        assert run_verification(max_q, seed=seed).ok
+        getrandbits = random.Random(seed).getrandbits
+        keys = {}
+        for p in iter_instances(max_q):
+            if r_achievable(p).case_tag is not CaseTag.SINGULAR:
+                s = constructed(p)
+                if decodable(s) and s.k:
+                    keys[p] = getrandbits(64)
+        smallest = sorted(keys, key=keys.get)[:verify.ROUNDTRIP_SAMPLES]
+        assert seen == [p for p in keys if p in smallest]
+        assert len(seen) == verify.ROUNDTRIP_SAMPLES
+
+    def test_sample_is_pinned(self, monkeypatch):
+        # integer draws only: every supported Python picks these for seed 7
+        seen = []
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: seen.append(s.params) or True)
+        assert run_verification(6, seed=7).ok
+        assert seen == [
+            (1, 0, 2), (1, 0, 4), (1, 2, 1), (1, 2, 5), (1, 3, 3), (1, 3, 5), (1, 5, 3),
+            (2, 0, 2), (2, 1, 1), (2, 3, 1), (2, 4, 2), (2, 4, 3), (2, 4, 6), (3, 2, 1),
+            (3, 2, 4), (4, 1, 1), (4, 5, 6), (5, 3, 0), (5, 4, 0), (5, 6, 5), (6, 0, 3),
+            (6, 0, 6), (6, 2, 2), (6, 3, 4), (6, 4, 4)]
 
     def test_rate_kernel_runs_once_per_instance(self, monkeypatch):
         # the allocation is built from the grid's kernel result, not a second call
