@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bounds import gaussian_upper_bounds, upper_bounds
+from .bounds import UpperBounds, gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
 from .gaussian import GaussianParams, correspondence, gaussian_rate, to_fraction
 from .ldm import ChannelParams
@@ -92,29 +92,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_bound_block(ub, r_ach) -> None:
-    print(f"ub1: {format_number(ub.ub1)}")
-    print(f"ub2: {format_number(ub.ub2)}")
-    print(f"ub3: {format_number(ub.ub3)}")
-    print(f"min_ub: {format_number(ub.min_ub)}")
-    print(f"tight: {'yes' if Fraction(r_ach) == ub.min_ub else 'no'}")
+def _named(t: tuple) -> str:
+    return " ".join(f"{name}={format_number(v)}" for name, v in zip(t._fields, t))
+
+
+def _write_report(header: list[str], case: CaseTag, singular_note: str, ub: UpperBounds,
+                  fields: list[tuple[str, object]]) -> int:
+    """Write a rate report in one write: header, case (and note if singular), fields, bounds
+    and whether field r_ach meets the least; text as given, numbers by ``format_number``."""
+    lines = [*header, f"case: {case.value}"]
+    if case is CaseTag.SINGULAR:
+        lines.append(f"note: {singular_note}; only the private rate is reported")
+    fields = [*fields, *zip(UpperBounds._fields, ub), ("min_ub", ub.min_ub),
+              ("tight", "yes" if dict(fields)["r_ach"] == ub.min_ub else "no")]
+    lines += [f"{name}: {v if isinstance(v, str) else format_number(v)}" for name, v in fields]
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     p = ChannelParams(args.n11, args.n21, args.n2)
     br = r_achievable(p)
-    ub = upper_bounds(p)
-    print("family: deterministic")
-    print(f"n11={p.n11} n21={p.n21} n2={p.n2} (q={p.q}, delta={p.delta})")
-    print(f"case: {br.case_tag.value}")
-    if br.case_tag is CaseTag.SINGULAR:
-        print("note: equal direct and helper gains admit no alignment scheme; "
-              "only the private rate is reported")
-    print(f"r_private: {br.r_private}")
-    print(f"r_common: {br.r_common}")
-    print(f"r_ach: {br.r_ach}")
-    _print_bound_block(ub, br.r_ach)
-    return 0
+    return _write_report(
+        ["family: deterministic", f"n11={p.n11} n21={p.n21} n2={p.n2} (q={p.q}, delta={p.delta})"],
+        br.case_tag, "equal direct and helper gains admit no alignment scheme", upper_bounds(p),
+        [("r_private", br.r_private), ("r_common", br.r_common), ("r_ach", br.r_ach)])
 
 
 def _cmd_gaussian(args: argparse.Namespace) -> int:
@@ -123,25 +125,13 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
     cp = correspondence(g)
     ub = gaussian_upper_bounds(cp, args.const_c or 0)
     gb = gaussian_rate(g)
-    print("family: gaussian")
-    print(f"log_snr1={format_number(g.log_snr1)} beta1={format_number(g.beta1)} "
-          f"beta2={format_number(g.beta2)}")
-    print(f"case: {gb.case_tag.value}")
-    if gb.case_tag is CaseTag.SINGULAR:
-        print("note: beta1 = 1 leaves no scale offset to align against; "
-              "only the private rate is reported")
-    print(f"r_private: {format_number(gb.r_private)}")
-    print(f"r_common: {format_number(gb.r_common)}")
-    print(f"r_gross: {format_number(gb.r_gross)}")
-    print(f"level_penalty: {format_number(gb.d)}")
-    print(f"r_ach: {format_number(gb.r_ach)}")
-    print(f"normalized: {format_number(gb.normalized)}")
+    fields = [("r_private", gb.r_private), ("r_common", gb.r_common), ("r_gross", gb.r_gross),
+              ("level_penalty", gb.d), ("r_ach", gb.r_ach), ("normalized", gb.normalized)]
     if gb.r_common_sum is not None:
-        print(f"r_common_sum: {gb.r_common_sum:.6f}")
-    print(f"correspondence: n11={format_number(cp.n11)} n21={format_number(cp.n21)} "
-          f"n2={format_number(cp.n2)}")
-    _print_bound_block(ub, gb.r_ach)
-    return 0
+        fields.append(("r_common_sum", f"{gb.r_common_sum:.6f}"))
+    fields.append(("correspondence", _named(cp)))
+    return _write_report(["family: gaussian", _named(g)], gb.case_tag,
+                         "beta1 = 1 leaves no scale offset to align against", ub, fields)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

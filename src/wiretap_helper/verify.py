@@ -62,10 +62,13 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     bits of the combined record are the decoded message.  A decodable
     scheme's column dependencies involve jam inputs only, so the decoded
     message does not depend on the basis.  Each trial draws k message bits,
-    then m jam bits, from ``random.Random(seed)``; trials must be an int >= 1.
+    then m jam bits, from ``random.Random(seed)``; trials must be an int >= 1
+    and seed an int.
     """
     if type(trials) is not int or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    if type(seed) is not int:
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not decodable(s):
         raise ParameterError("simulate_roundtrip requires a decodable scheme")
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, inputs)
@@ -207,7 +210,8 @@ def run_verification(
 
     Raises ParameterError, before any instance is built, when max_q is not
     a nonnegative integer (the rule of ``ChannelParams``) or exceeds
-    ``SCHEME_CHECK_CAP``, or when seed is not an integer.
+    ``SCHEME_CHECK_CAP``, when seed is not an integer, or when with_oracle is
+    not a bool.
     """
     if type(max_q) is not int or max_q < 0:
         raise ParameterError(f"max_q must be a nonnegative integer, got {max_q!r}")
@@ -215,6 +219,8 @@ def run_verification(
         raise ParameterError(f"verification grids are capped at max-q {SCHEME_CHECK_CAP}")
     if type(seed) is not int:
         raise ParameterError(f"seed must be an integer, got {seed!r}")
+    if type(with_oracle) is not bool:
+        raise ParameterError(f"with_oracle must be a bool, got {with_oracle!r}")
     instances = schemes_checked = singular = oracle_checked = 0
     failures: list[str] = []
     oracle_gaps: list[OracleGap] = []

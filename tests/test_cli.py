@@ -41,6 +41,28 @@ class TestRates:
         assert "r_ach: 0" in out
         assert "no alignment scheme" in out
 
+    @pytest.mark.parametrize("argv,singular,has_sum", [
+        ("rates --n11 10 --n21 8 --n2 10", False, False),
+        ("rates --n11 5 --n21 5 --n2 3", True, False),
+        ("gaussian --beta1 0.75 --beta2 1", False, True),
+        ("gaussian --beta1 1 --beta2 1", True, False),
+        ("gaussian --beta1 1.5 --beta2 0.3", False, False),
+    ])
+    def test_report_is_one_write(self, argv, singular, has_sum):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        with redirect_stdout(Recorder()):
+            assert main(argv.split()) == 0
+        assert len(writes) == 1
+        assert ("\nnote: " in writes[0]) == singular
+        assert ("\nr_common_sum: " in writes[0]) == has_sum
+        assert writes[0].endswith(("\ntight: yes\n", "\ntight: no\n"))
+
     def test_gaussian_strong_helper(self, capsys):
         code, out, _ = run_cli(
             capsys, "gaussian", "--log-snr1", "40", "--beta1", "3", "--beta2", "1"

@@ -4,7 +4,7 @@ import io
 import math
 import time
 from contextlib import redirect_stderr
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +28,7 @@ from wiretap_helper import (
     to_fraction,
 )
 from wiretap_helper import gaussian
-from wiretap_helper.cli import main
+from wiretap_helper.cli import build_parser, main
 from wiretap_helper.bounds import _doubled_bounds
 from wiretap_helper.gaussian import _edge, _log2_1p_exp2, _log2_theta
 from wiretap_helper.scheme import _rate_kernel
@@ -373,6 +373,54 @@ class TestOddLevelSumBound:
             odd_level_sum(past_cap)
         with pytest.raises(ParameterError, match="cap of 4"):
             gaussian_rate(past_cap)
+
+
+def decimal_odd_level_sum(g):
+    """Reference r_common_sum: max(0, log2(2^hi - 2^lo) - log2(1 + 2^(1 + lo)))
+    over the odd full levels, from the exact edges hi and lo, in 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+
+        def log2(x):
+            return x.ln() / ln2
+
+        def pow2(e):
+            return (Decimal(e.numerator) / e.denominator * ln2).exp()
+
+        L, w = g.log_snr1, g.log_snr1 * (1 - g.beta1)
+        total = Decimal(0)
+        for l in range(1, g.full_levels + 1, 2):
+            hi, lo = L - (l - 1) * w, L - l * w
+            total += max(Decimal(0), log2(pow2(hi) - pow2(lo)) - log2(1 + pow2(1 + lo)))
+        return total
+
+
+def golden_gaussian_sums():
+    """The golden ``gaussian`` argvs that print r_common_sum (beta1 < 1)."""
+    from test_golden import GOLDEN  # not at module level, where pytest would collect its test
+    return [c.split() for c in sorted(GOLDEN) if c.startswith("gaussian ")
+            and build_parser().parse_args(c.split()).beta1 < 1]
+
+
+class TestOddLevelSumDigits:
+    def test_every_golden_sum_is_covered(self):
+        assert len(golden_gaussian_sums()) == 8
+
+    @pytest.mark.parametrize("argv", [
+        *golden_gaussian_sums(),
+        # one of 40 random sums of 2,000-60,000 levels: the float sum of terms
+        # that each cancel about log10(L) digits rounds the wrong way
+        pytest.param("gaussian --log-snr1 110166 --beta1 12809/12810 --beta2 1".split(),
+                     marks=pytest.mark.xfail(strict=True, reason="prints 48654.153218, "
+                                             "the reference is 48654.1532185019")),
+    ], ids=" ".join)
+    def test_printed_sum_matches_decimal_reference(self, capsys, argv):
+        args = build_parser().parse_args(argv)
+        ref = decimal_odd_level_sum(GaussianParams(args.log_snr1, args.beta1, args.beta2))
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.split("\nr_common_sum: ")[1].split("\n")[0]
+        assert printed == str(ref.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
 
 
 class TestLevelWork:

@@ -161,6 +161,24 @@ class TestSimulateRoundtrip:
             simulate_roundtrip(s, trials, seed=0)
         assert str(exc.value) == f"trials must be a positive integer, got {trials!r}"
 
+    @pytest.mark.parametrize("seed", [1.5, "x", True, None, [1]])
+    def test_seed_must_be_an_int(self, monkeypatch, seed):
+        # checked before the decodable guard, and so before any draw
+        def no_draws(seed):
+            raise AssertionError("a generator was seeded with a non-integer seed")
+
+        monkeypatch.setattr(verify.random, "Random", no_draws)
+        p = ChannelParams(10, 8, 10)
+        not_decodable = make_scheme(I3, I3, I3, I3, msg=(1, 2, 3), jam=(1, 2, 3))
+        for s in (build_linear_scheme(construct_allocation(p), p), not_decodable):
+            with pytest.raises(ParameterError) as exc:
+                simulate_roundtrip(s, 5, seed)
+            assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_negative_seed_runs(self):
+        p = ChannelParams(10, 8, 10)
+        assert simulate_roundtrip(build_linear_scheme(construct_allocation(p), p), 50, -3)
+
     @pytest.mark.parametrize("C,msg,jam", MISS_THE_CHANNEL,
                              ids=["columns-permuted-against-channel",
                                   "message-level-left-out-of-maps", "jam-level-left-out-of-maps"])
@@ -530,6 +548,22 @@ class TestRunVerification:
         with pytest.raises(ParameterError) as exc:
             run_verification(4, seed=seed)
         assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("with_oracle", ["no", 0.0, [], None, 1])
+    def test_non_bool_with_oracle_is_checked_before_any_instance(self, monkeypatch,
+                                                                 with_oracle):
+        def no_instances(max_q):
+            raise AssertionError("an instance was built for a non-bool with_oracle")
+
+        monkeypatch.setattr(verify, "iter_instances", no_instances)
+        with pytest.raises(ParameterError) as exc:
+            run_verification(2, with_oracle=with_oracle)
+        assert str(exc.value) == f"with_oracle must be a bool, got {with_oracle!r}"
+
+    @pytest.mark.parametrize("with_oracle,searches", [(True, 27), (False, 0)])
+    def test_bool_with_oracle_runs(self, with_oracle, searches):
+        run = run_verification(2, with_oracle=with_oracle)
+        assert run.ok and run.oracle_checked == searches
 
     def test_grid_without_a_scheme_is_not_ok(self):
         # q <= 0 holds only the singular instance (0, 0, 0)
