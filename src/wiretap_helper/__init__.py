@@ -1,7 +1,7 @@
 """Secrecy-rate analysis for the linear deterministic wiretap channel with a helper."""
 
 from .bounds import UpperBounds, gaussian_upper_bounds, upper_bounds
-from .errors import ParameterError, SingularCaseError
+from .errors import ParameterError
 from .gaussian import (
     GaussianParams,
     GaussianRateBreakdown,
@@ -35,7 +35,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 __all__ = [
     "Allocation",
@@ -47,7 +47,6 @@ __all__ = [
     "OracleGap",
     "ParameterError",
     "RateBreakdown",
-    "SingularCaseError",
     "SweepRow",
     "SweepSpec",
     "UpperBounds",

@@ -82,16 +82,12 @@ class GaussianParams(_Exponents):
         return cls(*iterable)
 
     @property
-    def l_max(self) -> Fraction:
-        """Number of level widths spanning the full power range."""
-        if self.beta1 == 1:
-            raise ParameterError("level structure is undefined at beta1 = 1")
-        return 1 / abs(1 - self.beta1)
-
-    @property
     def full_levels(self) -> int:
-        n, d = self.beta1.as_integer_ratio()  # l_max raises the beta1 = 1 error
-        return d // abs(d - n) if n != d else math.floor(self.l_max)
+        """floor(1 / |1 - beta1|), the number of full levels of the power range."""
+        n, d = self.beta1.as_integer_ratio()
+        if n == d:
+            raise ParameterError("level structure is undefined at beta1 = 1")
+        return d // abs(d - n)
 
 
 class GaussianRateBreakdown(NamedTuple):
@@ -142,7 +138,7 @@ def level_rate(g: GaussianParams, level: int) -> float:
     n, d = g.beta1.as_integer_ratio()
     if n >= d:
         raise ParameterError("power levels require beta1 < 1")
-    top = -(-d // (d - n))  # ceil(l_max), l_max = d / (d - n)
+    top = -(-d // (d - n))  # ceil(1 / (1 - beta1)), the levels counting a partial one
     if type(level) is not int or not 1 <= level <= top:
         raise ParameterError(f"level {level} out of range 1..{top}" if type(level) is int
                              else f"level must be an integer, got {level!r}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .errors import ParameterError, SingularCaseError
+from .errors import ParameterError
 from .ldm import ChannelParams, even_blocks
 
 
@@ -66,14 +66,6 @@ class LinearScheme(NamedTuple):
     D: tuple[int, ...]
     allocation: Allocation
     params: ChannelParams
-
-    @property
-    def k(self) -> int:
-        return len(self.A)
-
-    @property
-    def m(self) -> int:
-        return len(self.B)
 
 
 def l_func(p: int, q: int) -> int:
@@ -132,8 +124,8 @@ def construct_allocation(p: ChannelParams) -> Allocation:
     Each regime names its message levels; the helper then jams every
     message level the eavesdropper hears (1..n2), which erases them there.
 
-    Raises SingularCaseError when no alignment scheme exists (n11 == n21
-    within the aligned regime, or the all-zero instance).
+    Raises ParameterError when no alignment scheme exists (n11 == n21,
+    the singular case, which includes the all-zero instance).
     """
     rp, _, tag = _rate_kernel(p.n11, p.n21, p.n2)
     return _allocation(p, rp, tag)
@@ -143,7 +135,7 @@ def _allocation(p: ChannelParams, rp: int, tag: CaseTag) -> Allocation:
     """``construct_allocation(p)`` from the private rate and regime that
     ``_rate_kernel`` gives for ``p``."""
     if tag is CaseTag.SINGULAR:
-        raise SingularCaseError(
+        raise ParameterError(
             f"no alignment scheme for n11={p.n11}, n21={p.n21}: "
             "equal gains leave nothing to align against"
         )

@@ -71,14 +71,14 @@ class SweepRow(NamedTuple):
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid value of ``spec.axis``.
 
-    ``spec.fixed`` holds exactly the other axes of the swept family: the
-    two other gains of a deterministic sweep, the other beta of a Gaussian
-    one.  ``log_snr1`` and ``const_c`` default to None, "not given": a
-    Gaussian sweep reads None as ``DEFAULT_LOG_SNR1`` and 0, and a
-    deterministic sweep that gives either, or sets ``asymptotic``, raises
-    ParameterError.  Every number of the spec (start, stop, step, the
-    fixed values, ``log_snr1`` and ``const_c``) is read once, by
-    ``to_fraction``, so it may be an int, float, str or Fraction.
+    ``spec.fixed`` is a mapping of exactly the other axes of the swept
+    family: the two other gains of a deterministic sweep, the other beta of
+    a Gaussian one.  ``asymptotic`` is a bool.  ``log_snr1`` and ``const_c``
+    default to None, "not given": a Gaussian sweep reads None as
+    ``DEFAULT_LOG_SNR1`` and 0, and a deterministic sweep that gives either,
+    or sets ``asymptotic``, raises ParameterError.  Every number of the spec
+    (start, stop, step, the fixed values, ``log_snr1`` and ``const_c``) is
+    read once, by ``to_fraction``, so it may be an int, float, str or Fraction.
 
     Cells that depend only on the integer gain triple are computed once
     per run of consecutive rows with that triple, so their cost scales with
@@ -88,6 +88,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     decreases as the beta grows, so equal triples are consecutive.
     Finite-SNR Gaussian rows still call ``gaussian_rate`` row by row.
     """
+    if type(spec.asymptotic) is not bool:
+        raise ParameterError(f"asymptotic must be a bool, got {spec.asymptotic!r}")
+    if not isinstance(spec.fixed, Mapping):
+        raise ParameterError("fixed must be a mapping of axis names to values, "
+                             f"got {spec.fixed!r}")
     gaussian = spec.axis in GAUSS_AXES
     if not gaussian:
         if spec.axis not in DET_AXES:

@@ -87,7 +87,7 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         if v:
             basis[v.bit_length() - 1] = (v, inputs)
 
-    msg, jam = _runs(s.allocation.message), _runs(s.allocation.jam)
+    msg, jam = map(_runs, s.allocation)  # a plain (message, jam) tuple too
     k, m, p = len(s.A), len(s.B), s.params
     message_inputs = (1 << k) - 1
     getrandbits = random.Random(seed).getrandbits

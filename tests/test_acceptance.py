@@ -98,7 +98,7 @@ def test_criterion_4_oracle_dominance_q40():
         assert rate >= br.r_ach, p
         assert rate <= ub.min_ub, p
         s = build_linear_scheme(witness, p)
-        assert leakage(s) == 0 and decodable(s) and s.k == rate, p
+        assert leakage(s) == 0 and decodable(s) and len(s.A) == rate, p
         if rate > br.r_ach:
             gaps += 1
             gaps_q24 += p.q <= 24

@@ -38,10 +38,18 @@ def gp(log_snr1, beta1, beta2):
     return GaussianParams(F(str(log_snr1)), F(str(beta1)), F(str(beta2)))
 
 
+def l_max(g):
+    """Number of level widths spanning the full power range, 1 / |1 - beta1|:
+    the Fraction reference for ``full_levels`` and the level range."""
+    if g.beta1 == 1:
+        raise ParameterError("level structure is undefined at beta1 = 1")
+    return 1 / abs(1 - g.beta1)
+
+
 class TestGaussianParams:
     def test_level_structure(self):
         g = gp(20, 0.75, 1)
-        assert g.l_max == 4
+        assert l_max(g) == 4
         assert g.full_levels == 4
 
     def test_width_mirrors_gain_offset_above_one(self):
@@ -54,8 +62,10 @@ class TestGaussianParams:
             GaussianParams(F(0), F(1, 2), F(1))
         with pytest.raises(ParameterError):
             GaussianParams(F(10), F(-1, 2), F(1))
-        with pytest.raises(ParameterError):
-            gp(10, 1, 1).l_max
+        for undefined in (l_max, lambda g: g.full_levels):
+            with pytest.raises(ParameterError,
+                               match="^level structure is undefined at beta1 = 1$"):
+                undefined(gp(10, 1, 1))
 
 
 class TestDecimalExponentCap:
@@ -478,7 +488,7 @@ def fraction_params(log_snr1, beta1, beta2):
 
 
 def fraction_full_levels(g):
-    return math.floor(g.l_max)
+    return math.floor(l_max(g))
 
 
 def fraction_correspondence(g):
@@ -586,8 +596,8 @@ def three_edge_theta(g, level):
 def three_edge_level_rate(g, level):
     if g.beta1 >= 1:
         raise ParameterError("power levels require beta1 < 1")
-    if not 1 <= level <= math.ceil(g.l_max):
-        raise ParameterError(f"level {level} out of range 1..{math.ceil(g.l_max)}")
+    if not 1 <= level <= math.ceil(l_max(g)):
+        raise ParameterError(f"level {level} out of range 1..{math.ceil(l_max(g))}")
     noise = _log2_1p_exp2(1.0 + three_edge(g, level))
     return max(0.0, three_edge_theta(g, level) - noise)
 
@@ -616,7 +626,7 @@ class TestLevelRateMatchesThreeEdgeCode:
     @example(F(1, 10**400), F(999, 1000))
     def test_every_level_and_the_sum_are_bit_identical(self, log_snr1, beta1):
         g = GaussianParams(log_snr1, beta1, F(1))
-        top = math.ceil(g.l_max)
+        top = math.ceil(l_max(g))
         for level in range(0, top + 2):  # 0 and top + 1 are out of range
             got = outcome(level_rate, g, level)
             assert got == outcome(three_edge_level_rate, g, level), level

@@ -12,7 +12,6 @@ from wiretap_helper import (
     CaseTag,
     ChannelParams,
     ParameterError,
-    SingularCaseError,
     build_linear_scheme,
     construct_allocation,
     decodable,
@@ -182,13 +181,9 @@ class TestConstructAllocation:
         assert a.message.bit_count() == 6
 
     def test_singular_raises(self):
-        with pytest.raises(SingularCaseError):
-            construct_allocation(ChannelParams(7, 7, 3))
-
-    def test_singular_is_a_parameter_error(self):
-        # one refusal type: callers that catch ParameterError catch this too
-        assert issubclass(SingularCaseError, ParameterError)
-        with pytest.raises(ParameterError):
+        # one refusal type: a singular instance raises the ParameterError of any bad argument
+        with pytest.raises(ParameterError, match="^no alignment scheme for n11=7, n21=7: "
+                                                 "equal gains leave nothing to align against$"):
             construct_allocation(ChannelParams(7, 7, 3))
 
     def test_message_count_matches_formula_on_grid(self):
@@ -218,7 +213,7 @@ class TestConstructAllocation:
         p = ChannelParams(n11, n21, n2)
         br = r_achievable(p)
         if br.case_tag is CaseTag.SINGULAR:
-            with pytest.raises(SingularCaseError):
+            with pytest.raises(ParameterError, match="^no alignment scheme for "):
                 construct_allocation(p)
             return
         a = construct_allocation(p)
@@ -233,20 +228,20 @@ class TestBuildLinearScheme:
     def test_empty_allocation(self):
         p = ChannelParams(5, 3, 4)
         s = build_linear_scheme(Allocation(0, 0), p)
-        assert s.k == 0 and s.m == 0
+        assert len(s.A) == 0 and len(s.B) == 0
         assert s.A == s.B == s.C == s.D == ()
 
     def test_constructed_scheme_is_secret_and_decodable(self):
         p = ChannelParams(10, 8, 10)
         s = build_linear_scheme(construct_allocation(p), p)
-        assert s.k == 6 and s.m == 6
+        assert len(s.A) == 6 and len(s.B) == 6
         assert leakage(s) == 0
         assert decodable(s)
 
     def test_private_only_message_vanishes_at_eavesdropper(self):
         p = ChannelParams(10, 2, 6)
         s = build_linear_scheme(Allocation(mask(7, 8, 9, 10), 0), p)
-        assert s.k == 4 and s.m == 0
+        assert len(s.A) == 4 and len(s.B) == 0
         assert all(c == 0 for c in s.A)
         assert leakage(s) == 0 and decodable(s)
 
@@ -355,7 +350,7 @@ class TestColumns:
         try:
             before = tracemalloc.get_traced_memory()[0]
             s = build_linear_scheme(a, p)
-            assert s.k == s.m == q
+            assert len(s.A) == len(s.B) == q
             del s
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
@@ -469,8 +464,8 @@ class TestSchemeMatricesMatchChannel:
             msg = sorted(rng.sample(range(1, p.n11 + 1), rng.randint(0, p.n11)))
             jam = sorted(rng.sample(range(1, p.n2 + 1), rng.randint(0, p.n2))) if p.n2 else []
             s = build_linear_scheme(Allocation(mask(*msg), mask(*jam)), p)
-            w = rng.getrandbits(s.k) if s.k else 0
-            u = rng.getrandbits(s.m) if s.m else 0
+            w = rng.getrandbits(len(s.A)) if s.A else 0
+            u = rng.getrandbits(len(s.B)) if s.B else 0
             x1 = sum(1 << (lvl - 1) for j, lvl in enumerate(msg) if (w >> j) & 1)
             x2 = sum(1 << (lvl - 1) for j, lvl in enumerate(jam) if (u >> j) & 1)
             y1, y2 = ldm_channel(x1, x2, p)

@@ -4,6 +4,7 @@ version it replaced."""
 
 import csv
 import io
+import re
 import sys
 from fractions import Fraction as F
 
@@ -114,6 +115,34 @@ class TestSharedCellsMatchRowByRow:
                          {others[0]: F(a), others[1]: F(b)})
         got, want = outcome(spec)
         assert got == want
+
+
+class TestSpecTypes:
+    """``asymptotic`` is a bool and ``fixed`` a mapping, checked before any
+    axis rule, so no other value stands in for them."""
+
+    BETA = SweepSpec("beta1", F(7, 10), F(7, 10), F(1), {"beta2": F(13, 10)}, log_snr1="13/3")
+    GAIN = SweepSpec("n11", F(1), F(2), F(1), {"n21": F(2), "n2": F(3)})
+
+    def test_bools_keep_their_rows(self):
+        assert run_sweep(self.BETA)[0].r_ach == F(13, 5)
+        assert run_sweep(self.BETA._replace(asymptotic=True))[0].r_ach == 3
+        assert len(run_sweep(self.GAIN._replace(asymptotic=False))) == 2
+
+    @pytest.mark.parametrize("spec", [BETA, GAIN], ids=["beta-axis", "gain-axis"])
+    @pytest.mark.parametrize("value", ["no", 0, None, "", [], 1.0, 1],
+                             ids=["no", "0", "None", "empty-str", "empty-list", "1.0", "1"])
+    def test_asymptotic_must_be_a_bool(self, spec, value):
+        with pytest.raises(ParameterError,
+                           match=f"^asymptotic must be a bool, got {re.escape(repr(value))}$"):
+            run_sweep(spec._replace(asymptotic=value))
+
+    @pytest.mark.parametrize("value", [None, 5, [("n21", F(2)), ("n2", F(3))], "n21"],
+                             ids=["None", "5", "pairs", "str"])
+    def test_fixed_must_be_a_mapping(self, value):
+        with pytest.raises(ParameterError, match="^fixed must be a mapping of axis names to "
+                                                 f"values, got {re.escape(repr(value))}$"):
+            run_sweep(self.GAIN._replace(fixed=value))
 
 
 FIGURE = SweepSpec("beta1", F("0.05"), F("2.5"), F("0.001"), {"beta2": F(1)}, log_snr1=F(40))

@@ -192,6 +192,18 @@ class TestSimulateRoundtrip:
         s = build_linear_scheme(construct_allocation(p), p)
         assert simulate_roundtrip(s, 64, seed=5) == simulate_roundtrip(s, 64, seed=5)
 
+    @pytest.mark.parametrize("levels,triple", [((0b101, 0b010), (4, 2, 4)),
+                                               (None, (10, 8, 10))], ids=["given", "constructed"])
+    def test_plain_tuple_allocation_roundtrips(self, levels, triple):
+        # build_linear_scheme takes any (message, jam) pair, so the roundtrip does too
+        p = ChannelParams(*triple)
+        a = Allocation(*levels) if levels else construct_allocation(p)
+        as_tuple = build_linear_scheme(tuple(a), p)
+        assert type(as_tuple.allocation) is tuple
+        for trials, seed in ((1, 0), (50, 3)):
+            got = simulate_roundtrip(as_tuple, trials, seed)
+            assert got is simulate_roundtrip(build_linear_scheme(a, p), trials, seed) is True
+
 
 def per_level_place(v, mask):
     """Reference encoder of the 0.22.0 roundtrip: bit j of v onto the j-th set
@@ -224,12 +236,12 @@ def roundtrip_0_22(s, trials, seed):
             basis[v.bit_length() - 1] = (v, inputs)
     getrandbits = random.Random(seed).getrandbits
     for _ in range(trials):
-        w = getrandbits(s.k) if s.k else 0
-        u = getrandbits(s.m) if s.m else 0
+        w = getrandbits(len(s.A)) if s.A else 0
+        u = getrandbits(len(s.B)) if s.B else 0
         y1, _y2 = ldm_channel(per_level_place(w, s.allocation.message),
                               per_level_place(u, s.allocation.jam), s.params)
         residue, inputs = reduce(y1, 0)
-        if residue or inputs & (1 << s.k) - 1 != w:
+        if residue or inputs & (1 << len(s.A)) - 1 != w:
             return False
     return True
 
@@ -268,7 +280,8 @@ def roundtrip_cases(rng, count):
         elif kind == "mixed-jam":  # same jam span: still decodes through the channel
             s = s._replace(B=mix(s.B), D=mix(s.D))
         elif kind == "random":
-            s = s._replace(C=random_matrix(rng, p.q, s.k), D=random_matrix(rng, p.q, s.m))
+            s = s._replace(C=random_matrix(rng, p.q, len(s.A)),
+                           D=random_matrix(rng, p.q, len(s.B)))
         if decodable(s):
             cases.append(s)
     return cases
@@ -305,8 +318,8 @@ def naive_oracle(p):
         for r in range(p.n2 + 1):
             for jam in itertools.combinations(range(1, p.n2 + 1), r):
                 s = build_linear_scheme(Allocation(mask(*msg), mask(*jam)), p)
-                if leakage(s) == 0 and decodable(s) and s.k > best:
-                    best = s.k
+                if leakage(s) == 0 and decodable(s) and len(s.A) > best:
+                    best = len(s.A)
     return best
 
 
@@ -391,7 +404,7 @@ def assert_witness_verifies(p, rate, witness):
     s = build_linear_scheme(witness, p)
     assert leakage(s) == 0, p
     assert decodable(s), p
-    assert s.k == rate, p
+    assert len(s.A) == rate, p
 
 
 class TestOracle:
@@ -581,7 +594,7 @@ class TestRunVerification:
                             lambda s, *rest: seen.append(s) or real(s, *rest))
         assert run_verification(24, seed=0).ok
         assert len(seen) == len({s.params for s in seen}) == verify.ROUNDTRIP_SAMPLES == 25
-        assert all(s.k and decodable(s) for s in seen)
+        assert all(s.A and decodable(s) for s in seen)
         assert max(s.params.n11 for s in seen) >= 12
         # an aligned scheme whose message spans several runs of levels
         assert any(r_achievable(s.params).case_tag is CaseTag.ALIGNED
@@ -594,7 +607,7 @@ class TestRunVerification:
                             lambda s, *rest: seen.append(s.params) or True)
         run_verification(2, seed=3)
         eligible = [p for p in iter_instances(2)
-                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).k]
+                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).A]
         assert seen == eligible  # fewer than ROUNDTRIP_SAMPLES, in grid order
 
     def test_sample_is_a_function_of_the_seed(self, monkeypatch):
@@ -636,7 +649,7 @@ class TestRunVerification:
         for seed in range(seeds):
             run_verification(4, seed=seed)
         eligible = [p for p in iter_instances(4)
-                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).k]
+                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).A]
         assert len(eligible) == 80 and set(counts) == set(eligible)
         assert sum(counts.values()) == seeds * k
         p = k / len(eligible)
@@ -656,7 +669,7 @@ class TestRunVerification:
         for p in iter_instances(max_q):
             if r_achievable(p).case_tag is not CaseTag.SINGULAR:
                 s = constructed(p)
-                if decodable(s) and s.k:
+                if decodable(s) and s.A:
                     keys[p] = getrandbits(64)
         smallest = sorted(keys, key=keys.get)[:verify.ROUNDTRIP_SAMPLES]
         assert seen == [p for p in keys if p in smallest]
@@ -721,6 +734,35 @@ def constructed(p):
 def assert_doubled_bounds_are_exact(p):
     ub = upper_bounds(p)
     assert _doubled_bounds(p.n11, p.n21, p.n2) == (2 * ub.ub1, 2 * ub.ub2, 2 * ub.ub3), p
+
+
+class TestAboveTheGridCap:
+    def test_sampled_schemes_pass_the_grid_checks(self, monkeypatch):
+        # instances with q in 65..1,000 compile through ``_reached_columns``, which
+        # no grid reaches; each gets every check ``run_verification`` makes
+        reached = []
+        real = scheme._reached_columns
+        monkeypatch.setattr(scheme, "_reached_columns",
+                            lambda q, *args: reached.append(q) or real(q, *args))
+        rng, checked = random.Random(28), 0
+        while checked < 30:
+            n11, n21, n2 = (rng.randint(0, 1000) for _ in range(3))
+            if max(n11, n21, n2) <= scheme.SCHEME_CHECK_CAP or n11 == n21:
+                continue
+            p = ChannelParams(n11, n21, n2)
+            rp, rc, tag = scheme._rate_kernel(n11, n21, n2)
+            s = build_linear_scheme(scheme._allocation(p, rp, tag), p)
+            assert s.allocation.message.bit_count() == len(s.A) == rp + rc, p
+            assert leakage(s) == 0 and decodable(s), p
+            twice_ub = min(_doubled_bounds(n11, n21, n2))
+            rate, _ = oracle_best_rate(p)
+            assert rp + rc <= rate and 2 * rate <= twice_ub, p
+            if s.A:
+                assert simulate_roundtrip(s, 50, seed=checked), p
+            checked += 1
+        assert len(reached) == 2 * checked  # one call per mask of each build
+        assert all(q > scheme.SCHEME_CHECK_CAP for q in reached)
+        assert max(scheme._UNIT_COLUMNS, default=0) <= scheme.SCHEME_CHECK_CAP
 
 
 class TestIntegerChecks:
