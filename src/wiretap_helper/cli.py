@@ -28,11 +28,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int(text: str) -> int:
+    # int() reads 1_0 as 10; like the rational flags, an int flag refuses it
+    try:
+        if "_" not in text:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_det_flags(sub: argparse.ArgumentParser, required: bool) -> None:
-    sub.add_argument("--n11", type=int, required=required, help="direct gain, bit levels")
-    sub.add_argument("--n21", type=int, required=required,
+    sub.add_argument("--n11", type=_int, required=required, help="direct gain, bit levels")
+    sub.add_argument("--n21", type=_int, required=required,
                      help="helper gain at the legitimate receiver")
-    sub.add_argument("--n2", type=int, required=required, help="common gain at the eavesdropper")
+    sub.add_argument("--n2", type=_int, required=required, help="common gain at the eavesdropper")
 
 
 def _add_gauss_flags(sub: argparse.ArgumentParser, required: bool,
@@ -83,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(run=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the exact checks over a parameter grid")
-    verify.add_argument("--max-q", type=int, dest="max_q", default=8,
+    verify.add_argument("--max-q", type=_int, dest="max_q", default=8,
                         help=f"grid cap, at most {SCHEME_CHECK_CAP} (default %(default)s)")
     verify.add_argument("--oracle", action="store_true",
                         help="also run the exact allocation oracle")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_int, default=0)
     verify.set_defaults(run=_cmd_verify)
     return parser
 

@@ -117,10 +117,11 @@ def _log2_1p_exp2(e: float) -> float:
     return math.log1p(2.0**e) / math.log(2)
 
 
-def _edge(g: GaussianParams, level: int) -> float:
-    """log2 of the received power at the bottom of ``level`` (0: the top)."""
+def _edge(top: Fraction, width: Fraction, level: int) -> float:
+    """log2 of the received power at the bottom of ``level`` (0: the top), the
+    exact rational ``top - level * width`` rounded to float once."""
     try:
-        return float(g.log_snr1 * (1 - level * (1 - g.beta1)))
+        return float(top - level * width)
     except OverflowError:
         raise ParameterError("log_snr1 is too large for the per-level float bounds") from None
 
@@ -142,7 +143,8 @@ def level_rate(g: GaussianParams, level: int) -> float:
     if type(level) is not int or not 1 <= level <= top:
         raise ParameterError(f"level {level} out of range 1..{top}" if type(level) is int
                              else f"level must be an integer, got {level!r}")
-    hi, lo = _edge(g, level - 1), _edge(g, level)
+    w = g.log_snr1 * (1 - g.beta1)  # the exact level width
+    hi, lo = _edge(g.log_snr1, w, level - 1), _edge(g.log_snr1, w, level)
     return max(0.0, _log2_theta(hi, lo) - _log2_1p_exp2(1.0 + lo))
 
 

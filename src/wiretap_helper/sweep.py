@@ -103,7 +103,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             if given:
                 raise ParameterError(f"{name} applies only to a sweep over beta1 or beta2")
     wanted = set(GAUSS_AXES if gaussian else DET_AXES) - {spec.axis}
-    for name in sorted(wanted ^ set(spec.fixed)):
+    for name in sorted(wanted ^ set(spec.fixed), key=str):  # a key may be no str
         verb = "needs" if name in wanted else "takes no"
         raise ParameterError(f"sweep over {spec.axis} {verb} fixed {name}")
     fixed = {name: to_fraction(x) for name, x in spec.fixed.items()}

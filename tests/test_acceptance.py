@@ -143,6 +143,37 @@ def test_criterion_6_sdof_one_half(beta1_sweep, beta1_sweep_asymptotic):
     report(6, f"sweep minimum {float(min(finite))} (asymptotic {float(min(asym))})")
 
 
+@pytest.mark.parametrize("beta1,regime,rate,min_ub", [
+    ("0", "weak-helper", "1", "1"),
+    ("1/6", "weak-helper", "5/6", "5/6"),
+    ("1/3", "weak-helper", "2/3", "2/3"),
+    ("1/2", "weak-helper", "1/2", "1/2"),
+    ("3/5", "weak-helper", "3/5", "3/5"),
+    ("2/3", "aligned", "2/3", "2/3"),
+    ("7/10", "aligned", "3/5", "13/20"),
+    ("3/4", "aligned", "1/2", "5/8"),
+    ("5/6", "aligned", "1/2", "7/12"),
+    ("9/10", "aligned", "1/2", "11/20"),
+    ("99/100", "aligned", "1/2", "101/200"),
+    ("1", "singular", "0", "1/2"),
+    ("11/10", "aligned", "1/2", "11/20"),
+    ("3/2", "aligned", "1/2", "3/4"),
+    ("2", "strong-helper", "1", "1"),
+    ("5/2", "strong-helper", "1", "1"),
+])
+def test_the_beta2_one_line(beta1, regime, rate, min_ub):
+    """The abstract's 1/2 on the beta2 = 1 line, at n11 = n2 = 1,200 and
+    n21 = beta1 n11, each rate divided by n11.  Where the helper aligns, the
+    formula (which the oracle equals) falls to 1/2, and the least upper bound
+    meets it there only as beta1 -> 1; at beta1 = 1 itself the rate is 0."""
+    p = ChannelParams(1200, int(F(beta1) * 1200), 1200)
+    br = r_achievable(p)
+    assert br.case_tag.value == regime
+    assert F(br.r_ach, p.n11) == F(rate)
+    assert oracle_best_rate(p)[0] == br.r_ach
+    assert F(upper_bounds(p).min_ub) / p.n11 == F(min_ub)
+
+
 def test_criterion_7_fluctuation_regime(beta1_sweep):
     region = [r for r in beta1_sweep
               if F(2, 3) <= r.axis_value < 2 and r.case_tag != "singular"]

@@ -806,3 +806,29 @@ class TestRuleParity:
         code, out, err = outcome(main, argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].endswith(str(exc.value))
+
+
+class TestIntFlags:
+    """The int flags (--n11, --n21, --n2, --max-q, --seed) read what ``int``
+    reads, but refuse a "_" inside a value, as the rational flags do."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--n11", "{}", "--n21", "8", "--n2", "10"],
+        ["rates", "--n11", "10", "--n21", "{}", "--n2", "10"],
+        ["sweep", "--axis", "n11", "--start", "1", "--stop", "2", "--step", "1",
+         "--n21", "8", "--n2", "{}"],
+        ["verify", "--max-q", "{}"],
+        ["verify", "--max-q", "1", "--seed", "{}"],
+    ], ids=["n11", "n21", "n2", "max-q", "seed"])
+    @pytest.mark.parametrize("value", ["1_0", "10_000", "x", "1.0", ""])
+    def test_refused_with_the_int_message(self, argv, value):
+        flag = argv[argv.index("{}") - 1]
+        code, out, err = outcome(main, [a.format(value) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_what_int_reads_still_runs(self):
+        assert outcome(main, ["rates", "--n11", " 10 ", "--n21", "8", "--n2", "+10"]) == \
+            outcome(main, RATES)
+        code, out, _ = outcome(main, ["verify", "--max-q", "2", "--seed", "-3"])
+        assert (code, out.splitlines()[-1]) == (0, "result: ok")

@@ -195,7 +195,8 @@ class TestNotANumber:
 
 def level_theta(g, level):
     """log2 of the signal power of ``level``, from its two edges."""
-    return _log2_theta(_edge(g, level - 1), _edge(g, level))
+    w = g.log_snr1 * (1 - g.beta1)
+    return _log2_theta(_edge(g.log_snr1, w, level - 1), _edge(g.log_snr1, w, level))
 
 
 class TestTheta:
@@ -440,17 +441,20 @@ class TestLevelWork:
     def test_each_level_computes_its_two_edges_once(self, monkeypatch, beta1, full):
         calls = []
 
-        def counted(g, level):
-            calls.append(level)
-            return _edge(g, level)
+        def counted(top, width, level):
+            calls.append((top, width, level))
+            return _edge(top, width, level)
 
         monkeypatch.setattr(gaussian, "_edge", counted)
         g = GaussianParams(F(40), beta1, F(1))
         assert g.full_levels == full
         odd_level_sum(g)
-        # two edges per odd level, the level's top and bottom
+        # two edges per odd level, the level's top and bottom, each from the top
+        # edge log_snr1 and the exact level width
         assert len(calls) == 2 * math.ceil(full / 2)
-        assert sorted(calls) == sorted(e for l in range(1, full + 1, 2) for e in (l - 1, l))
+        assert {(top, width) for top, width, _ in calls} == {(F(40), F(40) * (1 - beta1))}
+        assert sorted(level for *_, level in calls) == sorted(
+            e for l in range(1, full + 1, 2) for e in (l - 1, l))
 
 
 class TestNormalizedLimit:

@@ -144,6 +144,13 @@ class TestSpecTypes:
                                                  f"values, got {re.escape(repr(value))}$"):
             run_sweep(self.GAIN._replace(fixed=value))
 
+    @pytest.mark.parametrize("fixed,name", [({"n21": 2, 5: 3}, 5), ({1: 2}, 1)],
+                             ids=["str-and-int", "int"])
+    def test_a_key_that_is_no_str_is_refused(self, fixed, name):
+        # the keys are sorted by their text, so a mix of types sorts too
+        with pytest.raises(ParameterError, match=f"^sweep over n11 takes no fixed {name}$"):
+            run_sweep(SweepSpec("n11", 1, 2, 1, fixed))
+
 
 FIGURE = SweepSpec("beta1", F("0.05"), F("2.5"), F("0.001"), {"beta2": F(1)}, log_snr1=F(40))
 
