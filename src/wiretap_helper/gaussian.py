@@ -159,13 +159,10 @@ def odd_level_sum(g: GaussianParams) -> float:
 
 
 def correspondence(g: GaussianParams) -> ChannelParams:
-    """Deterministic instance matching this Gaussian one: n = ceil(log SNR)."""
-    a, b = g.log_snr1.numerator, g.log_snr1.denominator
-    return ChannelParams(
-        n11=-(-a // b),
-        n21=-(-a * g.beta1.numerator // (b * g.beta1.denominator)),
-        n2=-(-a * g.beta2.numerator // (b * g.beta2.denominator)),
-    )
+    """Deterministic instance matching this Gaussian one: n = ceil(log SNR), an int >= 0."""
+    (a, b), (n1, d1), (n2, d2) = (x.as_integer_ratio() for x in g)
+    return tuple.__new__(ChannelParams, (-(-a // b), -(-a * n1 // (b * d1)),
+                                         -(-a * n2 // (b * d2))))
 
 
 def gaussian_rate(g: GaussianParams) -> GaussianRateBreakdown:
@@ -179,14 +176,11 @@ def gaussian_rate(g: GaussianParams) -> GaussianRateBreakdown:
     charged against the total.
     """
     # L = a/b, beta1 = n1/d1, beta2 = n2/d2: the gains over den = b d1 d2
-    (a, b), (n1, d1), (n2, d2) = (x.as_integer_ratio() for x in (g.log_snr1, g.beta1, g.beta2))
+    (a, b), (n1, d1), (n2, d2) = (x.as_integer_ratio() for x in g)
     rp, rc, tag = _rate_kernel(a * d1 * d2, n1 * a * d2, n2 * a * d1)
     den = b * d1 * d2
-    d = g.full_levels if tag is CaseTag.ALIGNED else 0
+    d = d1 // abs(d1 - n1) if tag is CaseTag.ALIGNED else 0  # full levels; aligned: beta1 != 1
     r_ach = max(rp + rc - d * den, 0)
-    return GaussianRateBreakdown(
-        r_private=Fraction(rp, den), r_common=Fraction(rc, den),
-        r_gross=Fraction(rp + rc, den), d=d, r_ach=Fraction(r_ach, den),
-        normalized=Fraction(r_ach, a * d1 * d2), case_tag=tag,  # r_ach / L
-        r_common_sum=odd_level_sum(g) if n1 < d1 else None,
-    )
+    return GaussianRateBreakdown(  # r_private, r_common, r_gross, d, r_ach, normalized = r_ach / L
+        Fraction(rp, den), Fraction(rc, den), Fraction(rp + rc, den), d, Fraction(r_ach, den),
+        Fraction(r_ach, a * d1 * d2), tag, odd_level_sum(g) if n1 < d1 else None)

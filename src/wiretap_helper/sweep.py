@@ -11,12 +11,14 @@ its direct gain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
 from typing import IO, NamedTuple
 
+from . import gaussian as gauss  # MAX_LEVELS is read when a sweep runs
 from .bounds import gaussian_upper_bounds, upper_bounds
 from .errors import ParameterError
 from .gaussian import GaussianParams, correspondence, gaussian_rate, to_fraction
@@ -80,13 +82,16 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     (start, stop, step, the fixed values, ``log_snr1`` and ``const_c``) is
     read once, by ``to_fraction``, so it may be an int, float, str or Fraction.
 
-    Cells that depend only on the integer gain triple are computed once
-    per run of consecutive rows with that triple, so their cost scales with
-    the distinct triples, not the rows.  They are the bounds, ``min_ub``
-    and ``normalized_ub``, and on deterministic and asymptotic rows every
-    cell but ``axis_value``.  On either beta axis the triple never
-    decreases as the beta grows, so equal triples are consecutive.
-    Finite-SNR Gaussian rows still call ``gaussian_rate`` row by row.
+    A Gaussian spec is checked once, by ``GaussianParams`` of row 0, which has
+    the smallest swept beta and every row's ``log_snr1`` and fixed beta.  A
+    finite-SNR beta1 sweep with a row over ``gaussian.MAX_LEVELS`` levels is
+    refused before any odd-level sum, by the first error a row-by-row run
+    meets: row 0's ``const_c`` rule, its float overflow of ``log_snr1``, the
+    cap.  Cells that depend only on the integer gain triple are computed once
+    per run of consecutive rows with that triple (the triple never decreases
+    as a beta grows): the bounds, ``min_ub`` and ``normalized_ub``, and on
+    deterministic and asymptotic rows every cell but ``axis_value``.
+    Finite-SNR rows still call ``gaussian_rate`` row by row.
     """
     if type(spec.asymptotic) is not bool:
         raise ParameterError(f"asymptotic must be a bool, got {spec.asymptotic!r}")
@@ -111,14 +116,26 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     const_c = 0 if spec.const_c is None else to_fraction(spec.const_c)
     per_row = gaussian and not spec.asymptotic  # rates from gaussian_rate, row by row
     norm = log_snr1.as_integer_ratio()
+    grid = spec.grid()
+    if gaussian:
+        first = GaussianParams(log_snr1, **{**fixed, spec.axis: grid[0]})
+        b1, b2 = fixed.get("beta1"), fixed.get("beta2")  # None: the swept beta
+        if per_row and b1 is None:  # beta1 in [cap / (cap + 1), 1) has over cap full levels
+            over = bisect_left(grid, Fraction(gauss.MAX_LEVELS, gauss.MAX_LEVELS + 1))
+            if over < len(grid) and grid[over] < 1:  # refused, by the errors in their order
+                gaussian_upper_bounds(correspondence(first), const_c)
+                if over:
+                    gauss.level_rate(first, 1)
+                gauss.odd_level_sum(first._replace(beta1=grid[over]))
     rows, p = [], None
-    for v in spec.grid():
-        params = {**fixed, spec.axis: v}
+    for v in grid:
         last = p
         if gaussian:
-            g = GaussianParams(log_snr1, params["beta1"], params["beta2"])
+            g = tuple.__new__(GaussianParams,
+                              (log_snr1, v, b2) if b1 is None else (log_snr1, b1, v))
             p = correspondence(g)
         else:
+            params = {**fixed, spec.axis: v}
             for name, x in params.items():
                 if x.denominator != 1:
                     raise ParameterError(f"{name} must be an integer, got {x}")
@@ -138,7 +155,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             br = gaussian_rate(g)
             cells = (br.r_gross, br.r_private, br.r_common, *ub, min_ub,
                      _normalized(br.r_gross, *norm), normalized_ub, br.case_tag.value)
-        rows.append(SweepRow(v, *cells))
+        rows.append(tuple.__new__(SweepRow, (v, *cells)))
     return rows
 
 
@@ -161,12 +178,15 @@ def format_number(x: Fraction | int) -> str:
 
 
 def write_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
-    """Header and one line per row; no field ever needs quoting.  A cell that is
-    the very object the row above holds in its column reuses that row's text."""
+    """Header and one line per row; no field needs quoting.  A cell that is the very object
+    of the row above in its column, or of an earlier cell where min_ub is new, reuses its text."""
     fh.write(",".join(SweepRow._fields) + "\n")
     last = texts = (None,) * 10  # no cell is None
     for r in rows:
-        texts = [t if x is y else format_number(x) for x, y, t in zip(r[:-1], last, texts)]
+        new = None if r.min_ub is last[7] else {}  # id -> text; a new min_ub is a new ub
+        texts = [t if x is y else format_number(x) if new is None
+                 else new.get(id(x)) or new.setdefault(id(x), format_number(x))
+                 for x, y, t in zip(r[:-1], last, texts)]
         fh.write(",".join([*texts, r.case_tag]) + "\n")
         last = r
 
@@ -181,8 +201,9 @@ def write_svg(rows: Iterable[SweepRow], fh: IO[str], axis_label: str) -> None:
     ml, mr, mt, mb = 70, 24, 24, 56
     plot_w, plot_h = width - ml - mr, height - mt - mb
     try:
-        points = [(float(r.axis_value), float(r.normalized_ach), float(r.normalized_ub))
-                  for r in rows]
+        points = [(x.numerator / x.denominator, y.numerator / y.denominator,  # as float() rounds
+                   z.numerator / z.denominator)
+                  for x, y, z in ((r.axis_value, r.normalized_ach, r.normalized_ub) for r in rows)]
     except OverflowError:
         raise ParameterError("sweep values beyond the float range cannot be plotted; "
                              "write CSV instead") from None

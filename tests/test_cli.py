@@ -428,6 +428,19 @@ class TestLevelCap:
         assert exc.value.code == 2
         assert "10000000 power levels exceeds the cap of 1000000" in capsys.readouterr().err
 
+    def test_a_sweep_over_the_cap_exits_2_before_its_sums(self, capsys):
+        # only the last of 200 rows is over the cap; the 199 sums before it take a minute
+        began = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "beta1", "--start", "0.9999", "--stop", "0.9999995",
+                  "--step", "0.0000005", "--beta2", "1", "--out", "-"])
+        assert time.perf_counter() - began < 3
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == ("wth sweep: error: the odd-level sum over 2000000 power "
+                                        "levels exceeds the cap of 1000000 levels")
+
     def test_bad_const_c_exits_before_the_level_sum(self, capsys, monkeypatch):
         def no_sum(g):
             raise AssertionError("odd_level_sum ran before --const-c was checked")

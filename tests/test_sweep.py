@@ -11,7 +11,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wiretap_helper import ChannelParams, GaussianParams, ParameterError, SweepSpec, sweep
+from wiretap_helper import (ChannelParams, GaussianParams, ParameterError, SweepSpec, gaussian,
+                            sweep)
 from wiretap_helper.bounds import _doubled_bounds, gaussian_upper_bounds, upper_bounds
 from wiretap_helper.gaussian import correspondence, gaussian_rate
 from wiretap_helper.scheme import CaseTag, r_achievable
@@ -80,11 +81,11 @@ def fractions(num, den):
 
 
 # denominators up to 24, so that a beta1 below one on the grid has at most
-# 24 * 24 levels
+# 24 * 24 levels; negative betas and log_snr1 <= 0 are refused by row 0
 steps = fractions(st.integers(1, 6), st.integers(1, 24))
-gauss_starts = fractions(st.integers(0, 72), st.integers(1, 24))
-fixed_betas = fractions(st.integers(0, 72), st.integers(1, 24))
-log_snr1s = fractions(st.integers(1, 400), st.integers(1, 9))
+gauss_starts = fractions(st.integers(-24, 72), st.integers(1, 24))
+fixed_betas = fractions(st.integers(-24, 72), st.integers(1, 24))
+log_snr1s = fractions(st.integers(-40, 400), st.integers(1, 9))
 consts = st.one_of(st.just(F(0)), fractions(st.integers(-3, 6), st.integers(1, 5)))
 
 
@@ -95,6 +96,9 @@ class TestSharedCellsMatchRowByRow:
     @example("beta1", F(0), F(1, 300), 900, 0, F(2, 3), F(17, 2), F(3, 4), True)
     @example("beta2", F(0), F(1, 100), 200, 0, F(99, 100), F(40), F(0), False)
     @example("beta1", F(1, 2), F(1, 10), 5, 0, F(1), F(40), F(-1, 3), False)
+    @example("beta1", F(-1, 2), F(1, 4), 4, 0, F(1), F(40), F(-1), False)  # negative first row
+    @example("beta2", F(0), F(1, 4), 4, 0, F(-1, 3), F(40), F(0), False)  # negative fixed beta
+    @example("beta1", F(0), F(1, 4), 4, 0, F(1), F(0), F(0), True)  # log_snr1 = 0
     def test_gaussian_sweeps(self, axis, start, step, steps_on, overshoot, other, log_snr1,
                              const_c, asymptotic):
         stop = start + (steps_on + overshoot) * step
@@ -103,7 +107,7 @@ class TestSharedCellsMatchRowByRow:
                          const_c=const_c, asymptotic=asymptotic)
         got, want = outcome(spec)
         assert got == want
-        if const_c < 0:
+        if const_c < 0 or log_snr1 <= 0 or min(start, other) < 0:
             assert got[0] is ParameterError
 
     @settings(derandomize=True, max_examples=300, database=None, deadline=None)
@@ -185,10 +189,107 @@ class TestCellsPerTriple:
             assert calls["r_achievable"] == []
             assert len(calls["gaussian_rate"]) == 2451  # one per row
 
+    @pytest.mark.parametrize("spec", [FIGURE, FIGURE._replace(asymptotic=True),
+                                      SweepSpec("beta2", 0, 2, F(1, 100), {"beta1": F(3, 4)})],
+                             ids=["finite-snr", "asymptotic", "beta2"])
+    def test_gaussian_params_are_checked_once(self, monkeypatch, spec):
+        seen, new = [], GaussianParams.__new__
+
+        def counting(cls, *args, **kwargs):
+            seen.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GaussianParams, "__new__", counting)
+        rows = run_sweep(spec)
+        assert len(seen) == 1  # row 0's, for the whole sweep
+        monkeypatch.undo()
+        assert rows == row_by_row_sweep(spec._replace(log_snr1=F(40), const_c=F(0)))
+
     def test_deterministic_sweep_has_a_triple_per_row(self, monkeypatch):
         calls = counted(monkeypatch, "upper_bounds")
         spec = SweepSpec("n21", F(0), F(40), F(1), {"n11": F(20), "n2": F(15)})
         assert len(run_sweep(spec)) == len(calls) == len(set(calls)) == 41
+
+
+def finished_sums(monkeypatch):
+    """The instances of every ``gaussian.odd_level_sum`` call that returned a sum."""
+    done, f = [], gaussian.odd_level_sum
+
+    def wrapper(g):
+        total = f(g)
+        done.append(g)
+        return total
+
+    monkeypatch.setattr(gaussian, "odd_level_sum", wrapper)
+    return done
+
+
+# beta1 start, stop and step, with a cap of 4 levels: beta1 from 4/5 up to 1 is over it
+CROSSINGS = {
+    "first-row": (F(9, 10), F(3, 2), F(1, 10)),  # 10 levels at row 0
+    "middle-row": (F(1, 2), F(9, 10), F(1, 10)),  # 5 levels at 4/5, the 4th of 5 rows
+    "last-row": (F(1, 2), F(4, 5), F(1, 10)),
+    "then-past-one": (F(1, 2), F(2), F(1, 10)),  # rows up to 2 after the cap row
+}
+
+
+class TestLevelCapRefusal:
+    """A finite-SNR beta1 sweep with a row over ``MAX_LEVELS`` is refused before any
+    odd-level sum, by the error the row-by-row loop meets first."""
+
+    @pytest.mark.parametrize("crossing", CROSSINGS)
+    @pytest.mark.parametrize("log_snr1,const_c", [(F(40), F(0)), (F(10**400), F(0)),
+                                                  (F(40), F(-1)), (F(10**400), F(-1))],
+                             ids=["plain", "huge-log-snr1", "negative-c", "both"])
+    def test_refused_before_any_sum(self, monkeypatch, crossing, log_snr1, const_c):
+        monkeypatch.setattr(gaussian, "MAX_LEVELS", 4)
+        spec = SweepSpec("beta1", *CROSSINGS[crossing], {"beta2": F(1)}, log_snr1=log_snr1,
+                         const_c=const_c)
+        done = finished_sums(monkeypatch)
+        with pytest.raises(ParameterError) as exc:
+            run_sweep(spec)
+        assert done == []
+        if const_c < 0:
+            assert str(exc.value) == "the gap constant c must be nonnegative"
+        elif log_snr1 > 10**300 and crossing != "first-row":  # row 0 sums, and overflows
+            assert str(exc.value) == "log_snr1 is too large for the per-level float bounds"
+        else:
+            levels = 10 if crossing == "first-row" else 5
+            assert str(exc.value) == (f"the odd-level sum over {levels} power levels exceeds "
+                                      "the cap of 4 levels")
+        assert outcome(spec)[1] == (ParameterError, str(exc.value))
+
+    def test_a_beta2_sweep_over_the_cap_is_refused_at_row_0(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "MAX_LEVELS", 4)
+        spec = SweepSpec("beta2", F(0), F(2), F(1, 2), {"beta1": F(4, 5)}, log_snr1=F(40),
+                         const_c=F(0))
+        done = finished_sums(monkeypatch)
+        got, want = outcome(spec)
+        assert got == want == (ParameterError, "the odd-level sum over 5 power levels exceeds "
+                                               "the cap of 4 levels")
+        assert done == []
+
+    @pytest.mark.parametrize("spec", [
+        # 3/4 has 4 levels, at the cap; 1, 5/4 and 3/2 have none
+        SweepSpec("beta1", F(0), F(3, 2), F(1, 4), {"beta2": F(1)}, log_snr1=F(40),
+                  const_c=F(0)),
+        # no odd-level sums at all
+        SweepSpec("beta1", *CROSSINGS["then-past-one"], {"beta2": F(1)}, log_snr1=F(40),
+                  const_c=F(0), asymptotic=True),
+    ], ids=["within-the-cap", "asymptotic"])
+    def test_other_sweeps_keep_their_rows(self, monkeypatch, spec):
+        monkeypatch.setattr(gaussian, "MAX_LEVELS", 4)
+        got, want = outcome(spec)
+        assert got == want and len(got[0]) > 1
+
+    def test_the_near_one_sweep_is_refused_at_once(self, monkeypatch):
+        # the last of 200 rows has 2,000,000 levels; the 199 sums before it take about a minute
+        done = finished_sums(monkeypatch)
+        spec = SweepSpec("beta1", "0.9999", "0.9999995", "0.0000005", {"beta2": 1})
+        with pytest.raises(ParameterError, match="^the odd-level sum over 2000000 power levels "
+                                                 "exceeds the cap of 1000000 levels$"):
+            run_sweep(spec)
+        assert done == []
 
 
 def csv_writer_csv(rows, fh):
@@ -245,7 +346,8 @@ class TestCsvWriter:
         assert csv_text(write_csv, rows) == want
         assert csv_text(write_csv, (r for r in rows)) == want
 
-    @pytest.mark.parametrize("asymptotic,calls", [(False, 12_750), (True, 3_342)],
+    # the distinct cells: a new triple's min_ub is one of its ub1-ub3, formatted once
+    @pytest.mark.parametrize("asymptotic,calls", [(False, 12_651), (True, 3_243)],
                              ids=["finite-snr", "asymptotic"])
     def test_figure_formats_each_distinct_cell_once(self, monkeypatch, asymptotic, calls):
         rows = run_sweep(FIGURE._replace(asymptotic=asymptotic))
