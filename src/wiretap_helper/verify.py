@@ -51,19 +51,19 @@ def decodable(s: LinearScheme) -> bool:
 
 
 def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
-    """Encode random inputs, run them through the channel, decode, compare.
+    """Encode random inputs, run them through the channel map, decode, compare.
 
-    End-to-end sanity via the channel map itself rather than rank algebra:
-    input bit j goes on the j-th set level of its allocation mask, placed
-    one run of consecutive levels at a time (``_place``), so encoding costs
-    O(runs) big-int operations, not a Python step per level.  y1 is
-    reduced against an echelon basis of the columns of [C | D]; each
-    basis vector records the inputs combined to make it, and the message
-    bits of the combined record are the decoded message.  A decodable
-    scheme's column dependencies involve jam inputs only, so the decoded
-    message does not depend on the basis.  Each trial draws k message bits,
-    then m jam bits, from ``random.Random(seed)``; trials must be an int >= 1
-    and seed an int.
+    Input bit j goes on the j-th set level of its allocation mask
+    (``_place``).  Column j of the n columns of [C | D] becomes one int, its
+    y1 bits above ``lim`` = 2^n and its input record 2^j below, and
+    ``_added_rank``'s ``setdefault`` step makes them pivots; a column that
+    drops below ``lim`` is dependent and not stored.  A trial reduces y1
+    shifted above ``lim``: a bit left there is one no column reaches, and
+    the record's message bits are the decoded message, which a decodable
+    scheme fixes for any pivots (its column dependencies involve jam inputs
+    only).  Each trial draws k message bits, then m jam bits, from
+    ``random.Random(seed)``; a zero-width draw is 0 and consumes nothing.
+    trials must be an int >= 1 and seed an int.
     """
     if type(trials) is not int or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
@@ -71,33 +71,26 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not decodable(s):
         raise ParameterError("simulate_roundtrip requires a decodable scheme")
-    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, inputs)
-    get = basis.get
-
-    def reduce(v: int, inputs: int) -> tuple[int, int]:
-        while v:
-            b = get(v.bit_length() - 1)
-            if b is None:
-                break
-            v, inputs = v ^ b[0], inputs ^ b[1]
-        return v, inputs
-
+    n = len(s.C) + len(s.D)
+    lim = 1 << n
+    pivots: dict[int, int] = {}  # leading bit -> y1 bits << n | input record
     for j, col in enumerate(s.C + s.D):
-        v, inputs = reduce(col, 1 << j)
-        if v:
-            basis[v.bit_length() - 1] = (v, inputs)
-
+        v = col << n | 1 << j
+        while v >= lim:
+            b = pivots.setdefault(v.bit_length() - 1, v)
+            if b is v:
+                break
+            v ^= b
     msg, jam = map(_runs, s.allocation)  # a plain (message, jam) tuple too
     k, m, p = len(s.A), len(s.B), s.params
-    message_inputs = (1 << k) - 1
     getrandbits = random.Random(seed).getrandbits
     for _ in range(trials):
-        w = getrandbits(k) if k else 0
-        u = getrandbits(m) if m else 0
+        w, u = getrandbits(k), getrandbits(m)
         y1, _y2 = ldm_channel(_place(w, msg), _place(u, jam), p)
-        # a residue is a y1 bit that no column of [C | D] reaches
-        residue, inputs = reduce(y1, 0)
-        if residue or inputs & message_inputs != w:
+        v = y1 << n
+        while v >= lim and (b := pivots.get(v.bit_length() - 1)):
+            v ^= b
+        if v >= lim or v & (1 << k) - 1 != w:
             return False
     return True
 

@@ -204,6 +204,34 @@ class TestSimulateRoundtrip:
             got = simulate_roundtrip(as_tuple, trials, seed)
             assert got is simulate_roundtrip(build_linear_scheme(a, p), trials, seed) is True
 
+    @pytest.mark.parametrize("levels,triple", [
+        ((0, 0b111), (3, 1, 3)),   # k = 0
+        ((0b101, 0), (4, 2, 4)),   # m = 0
+        ((0, 0), (3, 1, 2)),       # k = m = 0
+        (None, (10, 8, 10)),       # both > 0
+    ], ids=["no-message", "no-jam", "empty", "both"])
+    def test_draw_contract(self, monkeypatch, levels, triple):
+        # each trial places k message bits, then m jam bits, from Random(seed);
+        # a zero-width draw is 0 and must not advance the generator
+        p = ChannelParams(*triple)
+        s = build_linear_scheme(Allocation(*levels) if levels else construct_allocation(p), p)
+        k, m = len(s.A), len(s.B)
+        placed, place = [], verify._place
+
+        def spy(v, runs):
+            placed.append(v)
+            return place(v, runs)
+
+        monkeypatch.setattr(verify, "_place", spy)
+        for seed in (0, 7, -3):
+            placed.clear()
+            assert simulate_roundtrip(s, 30, seed)
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(30):
+                expected += [rng.getrandbits(k) if k else 0, rng.getrandbits(m) if m else 0]
+            assert placed == expected
+
 
 def per_level_place(v, mask):
     """Reference encoder of the 0.22.0 roundtrip: bit j of v onto the j-th set
@@ -304,6 +332,34 @@ class TestRunBasedRoundtrip:
             for seed in range(4):
                 verdict = simulate_roundtrip(s, 20, seed)
                 assert verdict == roundtrip_0_22(s, 20, seed), (s, seed)
+                verdicts[verdict] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_same_verdicts_as_brute_force(self):
+        # every input pair that could have sent y1, with no elimination: a
+        # trial passes iff y1 is reached and every such pair carries w
+        cases = [s for s in roundtrip_cases(random.Random(29), 400)
+                 if len(s.C) + len(s.D) <= 8]
+        cases += [miss_the_channel(*case) for case in MISS_THE_CHANNEL]
+        verdicts = Counter()
+        for s in cases:
+            senders = {}
+            for w in range(1 << len(s.C)):
+                for u in range(1 << len(s.D)):
+                    senders.setdefault(apply(s.C, w) ^ apply(s.D, u), set()).add(w)
+            k, m = len(s.A), len(s.B)
+            for seed in range(3):
+                rng = random.Random(seed)
+                verdict = True
+                for _ in range(20):
+                    w = rng.getrandbits(k) if k else 0
+                    u = rng.getrandbits(m) if m else 0
+                    y1, _y2 = ldm_channel(per_level_place(w, s.allocation.message),
+                                          per_level_place(u, s.allocation.jam), s.params)
+                    if senders.get(y1) != {w}:
+                        verdict = False
+                        break
+                assert simulate_roundtrip(s, 20, seed) == verdict, (s, seed)
                 verdicts[verdict] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
 
