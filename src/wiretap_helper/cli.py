@@ -169,12 +169,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if created:
             os.remove(args.out)
         raise
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 3
     finally:
         if fh is not sys.stdout:
-            fh.close()
+            fh.close()  # flushes: a failed write raises an OSError, which ``main`` reports
     return 0
 
 
@@ -210,13 +207,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         sub = parser.commands[args.command]  # a subparser's namespace has no command
     try:  # errors found after parsing print the subcommand's usage, as argparse's own do
-        return args.run(args)
+        code = args.run(args)
+        if sys.stdout:  # None when the process started with fd 1 closed
+            sys.stdout.flush()  # so that a failed write to stdout shows here
+        return code
     except ParameterError as exc:
         sub.error(str(exc))
+    except OSError as exc:  # stdout or --out could not be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:
-    sys.exit(main())
+    if (code := main()) == 3:  # stdout's unwritten bytes would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

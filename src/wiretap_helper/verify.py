@@ -10,8 +10,9 @@ H(Y2 | W) = rank(B) bits exactly, giving
 Perfect secrecy is the exact identity leakage = 0.  Decodability of
 y1 = C w + D u for every jam realization is rank([C | D]) - rank(D) = k:
 the k-column message map is injective and its image meets the jam image
-only in zero.  Every scheme is judged by both identities, each one
-Gaussian elimination pass (``ldm._added_rank``).
+only in zero.  One Gaussian elimination pass, ``ldm._added_rank``, judges both
+identities and the decoding of sampled schemes through the channel map
+(``simulate_roundtrip``).
 
 The module also contains an exact oracle that finds the best verifiably
 secret and decodable level allocation of any instance in closed form,
@@ -51,18 +52,15 @@ def decodable(s: LinearScheme) -> bool:
 
 
 def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
-    """Encode random inputs, run them through the channel map, decode, compare.
+    """Encode random inputs, run them through the channel map, and judge
+    whether each trial's y1 decodes to its message w.
 
-    Input bit j goes on the j-th set level of its allocation mask
-    (``_place``).  Column j of the n columns of [C | D] becomes one int, its
-    y1 bits above ``lim`` = 2^n and its input record 2^j below, and
-    ``_added_rank``'s ``setdefault`` step makes them pivots; a column that
-    drops below ``lim`` is dependent and not stored.  A trial reduces y1
-    shifted above ``lim``: a bit left there is one no column reaches, and
-    the record's message bits are the decoded message, which a decodable
-    scheme fixes for any pivots (its column dependencies involve jam inputs
-    only).  Each trial draws k message bits, then m jam bits, from
-    ``random.Random(seed)``; a zero-width draw is 0 and consumes nothing.
+    Input bit j goes on the j-th set level of its allocation mask (``_place``).
+    Each trial draws k message bits, then m jam bits, from ``random.Random(seed)``;
+    a zero-width draw is 0 and consumes nothing.  In a decodable scheme, y1
+    decodes to w iff y1 = C w + D u' for some jam u', that is iff y1 << k | w
+    lies in the span of the columns c << k | 2^j of C and d << k of D: all
+    trials decode iff ``_added_rank`` of these outputs over those columns is 0.
     trials must be an int >= 1 and seed an int.
     """
     if type(trials) is not int or trials < 1:
@@ -71,28 +69,15 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if not decodable(s):
         raise ParameterError("simulate_roundtrip requires a decodable scheme")
-    n = len(s.C) + len(s.D)
-    lim = 1 << n
-    pivots: dict[int, int] = {}  # leading bit -> y1 bits << n | input record
-    for j, col in enumerate(s.C + s.D):
-        v = col << n | 1 << j
-        while v >= lim:
-            b = pivots.setdefault(v.bit_length() - 1, v)
-            if b is v:
-                break
-            v ^= b
     msg, jam = map(_runs, s.allocation)  # a plain (message, jam) tuple too
     k, m, p = len(s.A), len(s.B), s.params
     getrandbits = random.Random(seed).getrandbits
+    outputs = []
     for _ in range(trials):
         w, u = getrandbits(k), getrandbits(m)
-        y1, _y2 = ldm_channel(_place(w, msg), _place(u, jam), p)
-        v = y1 << n
-        while v >= lim and (b := pivots.get(v.bit_length() - 1)):
-            v ^= b
-        if v >= lim or v & (1 << k) - 1 != w:
-            return False
-    return True
+        outputs.append(ldm_channel(_place(w, msg), _place(u, jam), p)[0] << k | w)  # y1 tagged with w
+    columns = [c << k | 1 << j for j, c in enumerate(s.C)] + [d << k for d in s.D]
+    return _added_rank(columns, outputs) == 0
 
 
 def _place(v: int, runs: list[tuple[int, int, int]]) -> int:

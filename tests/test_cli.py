@@ -845,3 +845,40 @@ class TestIntFlags:
             outcome(main, RATES)
         code, out, _ = outcome(main, ["verify", "--max-q", "2", "--seed", "-3"])
         assert (code, out.splitlines()[-1]) == (0, "result: ok")
+
+
+FULL = "/dev/full"  # every write to it fails with ENOSPC
+
+
+class TestFailedWrite:
+    """A write that fails, to stdout or to --out, exits 3 with one line on stderr
+    and no traceback: ``main`` reports it, and nothing is left to fail at exit."""
+
+    def test_main_reports_a_failed_stdout_flush(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(RATES) == 3
+        err = capsys.readouterr().err
+        assert err == "cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [RATES, GAUSSIAN, SWEEP, ["verify", "--max-q", "3"],
+                                      [*SWEEP[:-1], FULL]],
+                             ids=["rates", "gaussian", "sweep", "verify", "sweep-out"])
+    def test_full_device(self, argv, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        to_stdout = FULL not in argv
+        with open(FULL, "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "wiretap_helper.cli", *argv],
+                                  stdout=full if to_stdout else subprocess.PIPE,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert done.returncode == 3
+        assert done.stderr == b"cannot write output: [Errno 28] No space left on device\n"
+        assert to_stdout or done.stdout == b""

@@ -155,6 +155,11 @@ class TestSpecTypes:
         with pytest.raises(ParameterError, match=f"^sweep over n11 takes no fixed {name}$"):
             run_sweep(SweepSpec("n11", 1, 2, 1, fixed))
 
+    def test_unknown_axis_is_refused(self):
+        # the CLI's ``choices`` hide this rule, so only the library reaches it
+        with pytest.raises(ParameterError, match="^unknown sweep axis 'n3'$"):
+            run_sweep(SweepSpec("n3", 0, 1, 1))
+
 
 FIGURE = SweepSpec("beta1", F("0.05"), F("2.5"), F("0.001"), {"beta2": F(1)}, log_snr1=F(40))
 

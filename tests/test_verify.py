@@ -316,7 +316,7 @@ def roundtrip_cases(rng, count):
 
 
 class TestRunBasedRoundtrip:
-    """The run-based encoder and one-lookup reduction of ``simulate_roundtrip``
+    """The run-based encoder and rank verdict of ``simulate_roundtrip``
     against 0.22.0's per-level roundtrip: same draws, same verdicts."""
 
     @settings(derandomize=True, max_examples=500, database=None, deadline=None)
@@ -340,6 +340,17 @@ class TestRunBasedRoundtrip:
         # trial passes iff y1 is reached and every such pair carries w
         cases = [s for s in roundtrip_cases(random.Random(29), 400)
                  if len(s.C) + len(s.D) <= 8]
+        # one flipped bit of C or one column of D dropped: often still decodable
+        # by rank, but y1 from the channel is then not what C and D describe
+        rng, broken = random.Random(31), []
+        for s in cases:
+            if s.C:
+                j, bit = rng.randrange(len(s.C)), 1 << rng.randrange(s.params.q)
+                broken.append(s._replace(C=s.C[:j] + (s.C[j] ^ bit,) + s.C[j + 1:]))
+            if s.D:
+                j = rng.randrange(len(s.D))
+                broken.append(s._replace(D=s.D[:j] + s.D[j + 1:]))
+        cases += [s for s in broken if decodable(s)]
         cases += [miss_the_channel(*case) for case in MISS_THE_CHANNEL]
         verdicts = Counter()
         for s in cases:
@@ -906,3 +917,36 @@ class TestFaultInjection:
         got = verify_with_fault(monkeypatch, capsys, "oracle_best_rate", HALF,
                                 lambda found: (2, found[1]), "--oracle")
         assert got == [f"{HALF}: oracle best 2 exceeds converse 3/2"]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_channel_without_the_user_signal(self, monkeypatch, seed):
+        # the grid runs the roundtrip's rank verdict: with x1 dropped from the
+        # channel, exactly the sampled schemes fail, in grid order
+        sampled, real = [], verify.simulate_roundtrip
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: sampled.append(s.params) or real(s, *rest))
+        assert run_verification(8, seed=seed).ok
+        assert len(sampled) == verify.ROUNDTRIP_SAMPLES
+        expected = tuple(f"{p}: roundtrip decoding failed" for p in sampled)
+        channel = verify.ldm_channel
+        monkeypatch.setattr(verify, "ldm_channel", lambda x1, x2, p: channel(0, x2, p))
+        assert run_verification(8, seed=seed).failures == expected
+        assert sampled[25:] == sampled[:25] == sorted(sampled[:25])
+
+    def test_oracle_below_formula(self, monkeypatch):
+        # one bit short of every positive rate: each instance where the oracle
+        # meets the formula (it is no gap) and is above 0 fails, and no other
+        base = run_verification(8, with_oracle=True)
+        gaps = {g.params for g in base.oracle_gaps}
+        expected = tuple(f"{p}: oracle best {r - 1} below formula {r}"
+                         for p in iter_instances(8)
+                         if p not in gaps and (r := r_achievable(p).r_ach) > 0)
+        assert base.ok and len(expected) > 400
+        real = verify.oracle_best_rate
+
+        def one_bit_short(p):
+            rate, witness = real(p)
+            return max(rate - 1, 0), witness
+
+        monkeypatch.setattr(verify, "oracle_best_rate", one_bit_short)
+        assert run_verification(8, with_oracle=True).failures == expected
