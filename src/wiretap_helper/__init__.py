@@ -35,7 +35,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 __all__ = [
     "Allocation",

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import os
@@ -102,6 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout() -> io.TextIOBase:
+    if sys.stdout is None:  # fd 1 was closed at start: fail as a write to it would
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _named(t: tuple) -> str:
     return " ".join(f"{name}={format_number(v)}" for name, v in zip(t._fields, t))
 
@@ -116,7 +123,7 @@ def _write_report(header: list[str], case: CaseTag, singular_note: str, ub: Uppe
     fields = [*fields, *zip(UpperBounds._fields, ub), ("min_ub", ub.min_ub),
               ("tight", "yes" if dict(fields)["r_ach"] == ub.min_ub else "no")]
     lines += [f"{name}: {v if isinstance(v, str) else format_number(v)}" for name, v in fields]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _stdout().write("\n".join(lines) + "\n")
     return 0
 
 
@@ -164,7 +171,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             write_svg(rows, text, axis_label=args.axis)
         if fh is not sys.stdout and os.path.isfile(args.out):
             fh.truncate(0)
-        fh.write(text.getvalue())
+        (fh or _stdout()).write(text.getvalue())  # fh is None: stdout, closed at start
     except ParameterError:
         if created:
             os.remove(args.out)
@@ -177,22 +184,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     run = run_verification(args.max_q, with_oracle=args.oracle, seed=args.seed)
-    print(f"instances checked: {run.instances} (q <= {args.max_q})")
-    print(f"schemes built and verified: {run.schemes_checked}")
+    lines = [f"instances checked: {run.instances} (q <= {args.max_q})",
+             f"schemes built and verified: {run.schemes_checked}"]
     if args.oracle:
-        print(f"oracle searches: {run.oracle_checked}")
+        lines.append(f"oracle searches: {run.oracle_checked}")
     if run.singular_instances:
-        print(f"finding: {run.singular_instances} singular instances (n11 == n21): "
-              "no alignment scheme; private-only rate reported")
+        lines.append(f"finding: {run.singular_instances} singular instances (n11 == n21): "
+                     "no alignment scheme; private-only rate reported")
     if run.oracle_gaps:
         # the wording predates the closed-form oracle; scripts match it, so it stays
         shown = "; ".join(f"{g.params}: oracle reaches {g.oracle_rate}, formula gives "
                           f"{g.formula_rate}" for g in run.oracle_gaps[:10])
-        print(f"finding: {len(run.oracle_gaps)} instances where the exhaustive oracle beats "
-              f"the partition formula (bit-level granularity): {shown}")
-    for line in run.failures:
-        print(f"FAIL: {line}")
-    print("result: " + ("ok" if run.ok else "FAILED"))
+        lines.append(f"finding: {len(run.oracle_gaps)} instances where the exhaustive oracle "
+                     f"beats the partition formula (bit-level granularity): {shown}")
+    lines += [f"FAIL: {line}" for line in run.failures]
+    lines.append("result: " + ("ok" if run.ok else "FAILED"))
+    _stdout().write("\n".join(lines) + "\n")
     return 0 if run.ok else 1
 
 

@@ -30,6 +30,7 @@ from .scheme import CaseTag, _rate_kernel
 MAX_LEVELS = 10**6
 # Fraction("1e10000000") alone takes seconds, and printing such a value minutes
 MAX_DECIMAL_EXPONENT = 10_000
+_ZERO = Fraction(0)  # the one r_private of every instance without a private rate
 
 
 def to_fraction(x: int | float | str | Fraction) -> Fraction:
@@ -96,6 +97,7 @@ class GaussianRateBreakdown(NamedTuple):
     r_gross is the rate carried by the alignment structure itself;
     r_ach additionally charges the per-level decoding penalty d (one bit
     per full level), clamped at zero.  normalized is r_ach / log2 SNR1.
+    Equal fields may be one object; which ones are is not part of the API.
     """
 
     r_private: Fraction
@@ -181,6 +183,9 @@ def gaussian_rate(g: GaussianParams) -> GaussianRateBreakdown:
     den = b * d1 * d2
     d = d1 // abs(d1 - n1) if tag is CaseTag.ALIGNED else 0  # full levels; aligned: beta1 != 1
     r_ach = max(rp + rc - d * den, 0)
+    r_common = Fraction(rc, den)
+    r_gross = Fraction(rp + rc, den) if rp else r_common  # equal fields share one object
     return GaussianRateBreakdown(  # r_private, r_common, r_gross, d, r_ach, normalized = r_ach / L
-        Fraction(rp, den), Fraction(rc, den), Fraction(rp + rc, den), d, Fraction(r_ach, den),
+        Fraction(rp, den) if rp else _ZERO, r_common, r_gross, d,
+        r_gross if r_ach == rp + rc else Fraction(r_ach, den),
         Fraction(r_ach, a * d1 * d2), tag, odd_level_sum(g) if n1 < d1 else None)

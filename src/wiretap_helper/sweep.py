@@ -153,8 +153,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                          br.case_tag.value)
         if per_row:
             br = gaussian_rate(g)
-            cells = (br.r_gross, br.r_private, br.r_common, *ub, min_ub,
-                     _normalized(br.r_gross, *norm), normalized_ub, br.case_tag.value)
+            cells = (br.r_gross, br.r_private, br.r_common, *ub, min_ub,  # d = 0: r_ach is r_gross
+                     _normalized(br.r_gross, *norm) if br.d else br.normalized,
+                     normalized_ub, br.case_tag.value)
         rows.append(tuple.__new__(SweepRow, (v, *cells)))
     return rows
 

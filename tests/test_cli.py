@@ -882,3 +882,47 @@ class TestFailedWrite:
         assert done.returncode == 3
         assert done.stderr == b"cannot write output: [Errno 28] No space left on device\n"
         assert to_stdout or done.stdout == b""
+
+
+class TestClosedStdout:
+    """A process started with fd 1 closed has ``sys.stdout is None``: a command
+    that writes to stdout exits 3 with one line on stderr, as for any failed
+    write, while ``sweep --out PATH``, which writes no stdout, still runs."""
+
+    CLOSED = "cannot write output: [Errno 9] Bad file descriptor\n"
+    ARGVS = pytest.mark.parametrize("argv", [RATES, GAUSSIAN, SWEEP, ["verify", "--max-q", "2"]],
+                                    ids=["rates", "gaussian", "sweep", "verify"])
+
+    @ARGVS
+    def test_in_process(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == self.CLOSED
+
+    def test_in_process_sweep_to_a_file(self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([*SWEEP[:-1], str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().startswith("axis_value,")
+
+    @staticmethod
+    def closed_run(argv):
+        # sh closes fd 1 before it starts the CLI
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run(["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m",
+                               "wiretap_helper.cli", *argv],
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through sh")
+    @ARGVS
+    def test_fd_closed(self, argv):
+        done = self.closed_run(argv)
+        assert (done.returncode, done.stderr.decode()) == (3, self.CLOSED)
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through sh")
+    def test_fd_closed_sweep_to_a_file(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        done = self.closed_run([*SWEEP[:-1], str(out)])
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_text() == outcome(main, SWEEP)[1]

@@ -1,6 +1,7 @@
 """Gaussian rate evaluation: levels, decoding bounds, and the closed form."""
 
 import io
+import itertools
 import math
 import time
 from contextlib import redirect_stderr
@@ -325,6 +326,38 @@ class TestGaussianRate:
         assert (gb.r_private, gb.r_common, gb.case_tag) == (
             det.r_private, det.r_common, det.case_tag)
         assert correspondence(g) == p
+
+    # rp = 0 and d = 0; rp > 0 and d > 0 below and above beta1 = 1; rp > 0 and d = 0;
+    # r_ach clamped at 0; singular
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(st.builds(F, st.integers(1, 400), st.integers(1, 7)),
+           st.integers(1, 40).flatmap(lambda d: st.builds(F, st.integers(0, 3 * d), st.just(d))),
+           st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 30), st.integers(1, 12))))
+    @example(F(40), F(3), F(1))
+    @example(F(40), F(3, 4), F(1, 2))
+    @example(F(40), F(3, 2), F(3, 10))
+    @example(F(40), F(1, 4), F(1, 4))
+    @example(F(40), F(99, 100), F(1))
+    @example(F(40), F(1), F(1, 2))
+    def test_fields_and_shared_objects(self, log_snr1, beta1, beta2):
+        """Every field against its exact value from ``_rate_kernel``; equal
+        fields may be one object, unequal ones never are."""
+        g = GaussianParams(log_snr1, beta1, beta2)
+        gains = (log_snr1, beta1 * log_snr1, beta2 * log_snr1)
+        den = math.lcm(*(x.denominator for x in gains))
+        rp, rc, tag = _rate_kernel(*(x.numerator * (den // x.denominator) for x in gains))
+        d = math.floor(l_max(g)) if tag is CaseTag.ALIGNED else 0
+        r_gross = F(rp, den) + F(rc, den)
+        r_ach = max(r_gross - d, F(0))
+        want = {"r_private": F(rp, den), "r_common": F(rc, den), "r_gross": r_gross, "d": d,
+                "r_ach": r_ach, "normalized": r_ach / log_snr1, "case_tag": tag}
+        got = gaussian_rate(g)
+        assert got[:7] == tuple(want.values())
+        rates = [name for name, v in want.items() if type(v) is F]
+        assert all(type(getattr(got, name)) is F for name in rates)
+        for a, b in itertools.combinations(rates, 2):
+            if getattr(got, a) is getattr(got, b):
+                assert want[a] == want[b], (a, b)
 
 
 @st.composite

@@ -352,7 +352,7 @@ class TestCsvWriter:
         assert csv_text(write_csv, (r for r in rows)) == want
 
     # the distinct cells: a new triple's min_ub is one of its ub1-ub3, formatted once
-    @pytest.mark.parametrize("asymptotic,calls", [(False, 12_651), (True, 3_243)],
+    @pytest.mark.parametrize("asymptotic,calls", [(False, 10_102), (True, 3_243)],
                              ids=["finite-snr", "asymptotic"])
     def test_figure_formats_each_distinct_cell_once(self, monkeypatch, asymptotic, calls):
         rows = run_sweep(FIGURE._replace(asymptotic=asymptotic))
