@@ -156,8 +156,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(args.axis, args.start, args.stop, args.step, fixed,
                      args.log_snr1, args.const_c, args.asymptotic)
     # opened before any row is built, so that a bad path fails at once; "a" truncates
-    # nothing, and a file created here is removed again on a usage error
-    created = args.out != "-" and not os.path.lexists(args.out)
+    # nothing, and a file it creates (a dangling link's target too) goes on a usage error
+    created = args.out != "-" and not os.path.exists(args.out)
     try:
         fh = sys.stdout if args.out == "-" else open(args.out, "a", newline="")
     except OSError as exc:
@@ -174,7 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         (fh or _stdout()).write(text.getvalue())  # fh is None: stdout, closed at start
     except ParameterError:
         if created:
-            os.remove(args.out)
+            os.remove(os.path.realpath(args.out))
         raise
     finally:
         if fh is not sys.stdout:

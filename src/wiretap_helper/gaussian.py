@@ -17,6 +17,7 @@ point, evaluated in the log domain so large SNR exponents cannot overflow.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,27 +34,28 @@ MAX_DECIMAL_EXPONENT = 10_000
 _ZERO = Fraction(0)  # the one r_private of every instance without a private rate
 
 
-def to_fraction(x: int | float | str | Fraction) -> Fraction:
+def to_fraction(x: int | float | Decimal | str | Fraction) -> Fraction:
     """Exact rational from user input, the package's one reader of numbers;
-    floats go through their repr so that 0.05 means 1/20.  Raises
-    ParameterError for a bool, a value that is no finite rational, a string with "_"
-    or inner whitespace, or a decimal exponent beyond +-``MAX_DECIMAL_EXPONENT``."""
+    floats and Decimals are read as their str, so 0.05 means 1/20.  Raises
+    ParameterError for a bool, a value that is no finite rational, a string with
+    "_" or inner whitespace, or a decimal exponent beyond +-``MAX_DECIMAL_EXPONENT``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise ParameterError(f"not a rational number: {x!r}")
-    if isinstance(x, str):
-        _, e, exponent = x.lower().rpartition("e")  # a valid "e" starts the exponent
+    text = str(x) if isinstance(x, (float, Decimal)) else x
+    if isinstance(text, str):
+        _, e, exponent = text.lower().rpartition("e")  # a valid "e" starts the exponent
         try:
             huge = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
         except ValueError:  # not an exponent: Fraction refuses the literal
             huge = False
         if huge:
             raise ParameterError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {x!r}")
-        if "_" in x or len(x.split()) > 1:  # Fraction reads 1_0 from 3.11, 1 / 2 from 3.12
+        if "_" in text or len(text.split()) > 1:  # Fraction reads 1_0 from 3.11, 1 / 2 from 3.12
             raise ParameterError(f"not a rational number: {x!r}")
     try:
-        return Fraction(str(x) if isinstance(x, float) else x)
+        return Fraction(text)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParameterError(f"not a rational number: {x!r}") from exc
 

@@ -30,13 +30,9 @@ class ChannelParams(_Gains):
     __slots__ = ()
 
     def __new__(cls, n11: int, n21: int, n2: int) -> ChannelParams:
-        # three plain nonnegative ints pass in one test; anything else is
-        # checked gain by gain
-        if not (type(n11) is int and type(n21) is int and type(n2) is int
-                and (n11 | n21 | n2) >= 0):
-            for name, v in zip(cls._fields, (n11, n21, n2)):
-                if type(v) is not int or v < 0:
-                    raise ParameterError(f"{name} must be a nonnegative integer, got {v!r}")
+        for name, v in zip(cls._fields, (n11, n21, n2)):
+            if type(v) is not int or v < 0:
+                raise ParameterError(f"{name} must be a nonnegative integer, got {v!r}")
         return tuple.__new__(cls, (n11, n21, n2))
 
     @classmethod

@@ -21,7 +21,7 @@ independently of the partition construction.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import random
 from typing import NamedTuple
@@ -72,10 +72,9 @@ def simulate_roundtrip(s: LinearScheme, trials: int, seed: int) -> bool:
     msg, jam = map(_runs, s.allocation)  # a plain (message, jam) tuple too
     k, m, p = len(s.A), len(s.B), s.params
     getrandbits = random.Random(seed).getrandbits
-    outputs = []
-    for _ in range(trials):
-        w, u = getrandbits(k), getrandbits(m)
-        outputs.append(ldm_channel(_place(w, msg), _place(u, jam), p)[0] << k | w)  # y1 tagged with w
+    # y1 tagged with w, built lazily so memory stays flat in trials; w is drawn before u
+    outputs = (ldm_channel(_place(w := getrandbits(k), msg), _place(getrandbits(m), jam), p)[0]
+               << k | w for _ in range(trials))
     columns = [c << k | 1 << j for j, c in enumerate(s.C)] + [d << k for d in s.D]
     return _added_rank(columns, outputs) == 0
 
@@ -179,7 +178,7 @@ def run_verification(
     A seeded uniform sample of ``ROUNDTRIP_SAMPLES`` decodable schemes with
     k > 0 is also decoded end to end through the channel map.  It is a
     bottom-k sample: in grid order each such scheme draws a 64-bit key from
-    ``random.Random(seed)``, and the smallest keys are kept.
+    ``random.Random(seed)``, and the smallest keys are kept (of equal ones, the later).
 
     With the oracle enabled, also checks that the oracle's best rate
     dominates the formula and respects the converse; strict oracle gaps
@@ -199,15 +198,13 @@ def run_verification(
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if type(with_oracle) is not bool:
         raise ParameterError(f"with_oracle must be a bool, got {with_oracle!r}")
-    instances = schemes_checked = singular = oracle_checked = 0
+    singular = 0
     failures: list[str] = []
     oracle_gaps: list[OracleGap] = []
-    # max-heap of (-key, instance index, scheme): the unique index ends every compare
+    # sorted (key, -instance index, scheme); of equal keys at the cut the earlier leaves
     sample: list[tuple[int, int, LinearScheme]] = []
     getrandbits = random.Random(seed).getrandbits
-    worst = 1 << 64 if ROUNDTRIP_SAMPLES else 0  # keys below it enter the sample
-    for p in iter_instances(max_q):
-        instances += 1
+    for i, p in enumerate(iter_instances(max_q)):
         n11, n21, n2 = p
         rp, rc, tag = _rate_kernel(n11, n21, n2)
         r_ach = rp + rc
@@ -221,7 +218,6 @@ def run_verification(
         else:
             alloc = _allocation(p, rp, tag)
             s = build_linear_scheme(alloc, p)
-            schemes_checked += 1
             if alloc.message.bit_count() != r_ach:
                 failures.append(
                     f"{p}: construction carries {alloc.message.bit_count()} bits, "
@@ -234,15 +230,11 @@ def run_verification(
                 failures.append(f"{p}: constructed scheme is not decodable")
             elif s.A:  # k > 0
                 key = getrandbits(64)
-                if key < worst:
-                    heapq.heappush(sample, (-key, instances, s))
-                    if len(sample) > ROUNDTRIP_SAMPLES:
-                        heapq.heappop(sample)  # the largest key leaves
-                    if len(sample) == ROUNDTRIP_SAMPLES:
-                        worst = -sample[0][0]  # the largest kept key
+                if len(sample) < ROUNDTRIP_SAMPLES or sample and key <= sample[-1][0]:
+                    bisect.insort(sample, (key, -i, s))  # the unique -i ends every compare
+                    del sample[ROUNDTRIP_SAMPLES:]  # the largest key leaves
         if with_oracle:
             rate, _w = oracle_best_rate(p)
-            oracle_checked += 1
             if rate < r_ach:
                 failures.append(
                     f"{p}: oracle best {rate} below formula {r_ach}"
@@ -253,12 +245,14 @@ def run_verification(
                 )
             if rate > r_ach:
                 oracle_gaps.append(OracleGap(p, rate, r_ach))
-    for _, _, s in sorted(sample, key=lambda e: e[1]):  # in grid order
+    for _, _, s in sorted(sample, key=lambda e: -e[1]):  # in grid order
         if not simulate_roundtrip(s, ROUNDTRIP_TRIALS, seed):
             failures.append(f"{s.params}: roundtrip decoding failed")
+    instances = (max_q + 1) ** 3
+    schemes_checked = instances - singular
     if schemes_checked == 0:
         failures.append(
             f"no scheme was checked: the grid q <= {max_q} has no non-singular instance"
         )
-    return VerificationRun(instances, schemes_checked, singular, oracle_checked,
-                           tuple(failures), tuple(oracle_gaps))
+    return VerificationRun(instances, schemes_checked, singular,
+                           instances if with_oracle else 0, tuple(failures), tuple(oracle_gaps))

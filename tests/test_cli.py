@@ -369,6 +369,27 @@ class TestSweep:
         else:
             assert out_file.read_text() == existing
 
+    def test_usage_error_through_a_dangling_link_creates_no_target(self, tmp_path):
+        # open(..., "a") follows the link and creates its target: that file goes
+        # again, and the link, which was there before, stays
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target.name)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "n11", "--start", "1", "--stop", "2",
+                  "--step", "0.5", "--n21", "2", "--n2", "3", "--out", str(link)])
+        assert exc.value.code == 2
+        assert not target.exists()
+        assert link.is_symlink() and os.readlink(link) == target.name
+
+    def test_sweep_through_a_dangling_link_writes_the_target(self, capsys, tmp_path):
+        args = ["sweep", "--axis", "n11", "--start", "1", "--stop", "2",
+                "--step", "1", "--n21", "2", "--n2", "3"]
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target.name)
+        assert run_cli(capsys, *args, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_text() == run_cli(capsys, *args)[1]
+
     def test_longer_existing_file_is_replaced(self, capsys, tmp_path):
         args = ["sweep", "--axis", "n11", "--start", "1", "--stop", "4",
                 "--step", "1", "--n21", "2", "--n2", "3"]

@@ -93,6 +93,36 @@ class TestDecimalExponentCap:
             with pytest.raises(ParameterError):
                 to_fraction(text)
 
+    @pytest.mark.parametrize("x", [Decimal("1e10001"), Decimal("-2.5E-10001"),
+                                   Decimal("1e1000000")])
+    def test_huge_decimal_exponent_raises_at_once(self, x):
+        # a Decimal is read as its str, so the string rule holds for it too
+        for read in (to_fraction, lambda x: GaussianParams(40, "0.5", x),
+                     lambda x: gaussian_upper_bounds(ChannelParams(3, 2, 1), x)):
+            start = time.perf_counter()
+            with pytest.raises(ParameterError) as exc:
+                read(x)
+            assert time.perf_counter() - start < 0.1
+            assert str(exc.value) == f"decimal exponent beyond +-10000: {x!r}"
+
+    def test_decimal_message_shows_the_callers_value(self):
+        with pytest.raises(ParameterError) as exc:
+            to_fraction(Decimal("1e10001"))
+        assert str(exc.value) == "decimal exponent beyond +-10000: Decimal('1E+10001')"
+
+    def test_decimal_meets_the_string_digit_limit(self):
+        # its str has more digits than int() reads, as the junk string "1" * 5000 has
+        x = Decimal("1" * 5000)
+        with pytest.raises(ParameterError) as exc:
+            to_fraction(x)
+        assert str(exc.value) == f"not a rational number: {x!r}"
+
+    def test_decimal_reads_as_its_value(self):
+        assert to_fraction(Decimal("1.5")) == F(3, 2)
+        assert to_fraction(Decimal("-0.05")) == F(-1, 20)
+        assert to_fraction(Decimal("1e10000")) == 10**10000
+        assert GaussianParams(Decimal("40"), Decimal("0.5"), 1).beta1 == F(1, 2)
+
     @pytest.mark.parametrize("text", ["tree", "1e", "1e5e", "e5", "1/0e3"])
     def test_other_literals_keep_the_fraction_error(self, text):
         # a malformed literal is not the cap's business: it gets the refusal

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
@@ -231,6 +232,20 @@ class TestSimulateRoundtrip:
             for _ in range(30):
                 expected += [rng.getrandbits(k) if k else 0, rng.getrandbits(m) if m else 0]
             assert placed == expected
+
+    def test_memory_stays_flat_in_trials(self):
+        # each trial's output is reduced as it is drawn, not kept in a list: at
+        # 200,000 trials a list of the tagged outputs peaks at about 6 MiB here
+        p = ChannelParams(6, 4, 6)
+        s = constructed(p)
+        assert s.A and s.B
+        tracemalloc.start()
+        try:
+            assert simulate_roundtrip(s, 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def per_level_place(v, mask):
@@ -741,6 +756,38 @@ class TestRunVerification:
         smallest = sorted(keys, key=keys.get)[:verify.ROUNDTRIP_SAMPLES]
         assert seen == [p for p in keys if p in smallest]
         assert len(seen) == verify.ROUNDTRIP_SAMPLES
+
+    @pytest.mark.parametrize("samples", [0, 1, 25])
+    @pytest.mark.parametrize("seed", [0, 5, -3])
+    def test_equal_keys_at_the_cut(self, monkeypatch, samples, seed):
+        # keys from range(4) force ties: the sample holds the smallest keys, and
+        # of equal keys at the cut the later instance stays.  Draws of any
+        # other width (the roundtrip's) are the real ones.
+        class TiedKeys(random.Random):
+            def getrandbits(self, k):
+                v = super().getrandbits(k)
+                return v % 4 if k == 64 else v
+
+        getrandbits = TiedKeys(seed).getrandbits
+        eligible = [p for p in iter_instances(6)
+                    if r_achievable(p).case_tag is not CaseTag.SINGULAR and constructed(p).A]
+        keys = [getrandbits(64) for _ in eligible]  # in grid order
+        kept = set()
+        if samples:
+            cut = sorted(keys)[samples - 1]
+            below = [p for key, p in zip(keys, eligible) if key < cut]
+            at_cut = [p for key, p in zip(keys, eligible) if key == cut]
+            need = samples - len(below)
+            assert len(at_cut) > need  # the cut falls inside a run of equal keys
+            kept = set(below + at_cut[len(at_cut) - need:])
+        seen = []
+        monkeypatch.setattr(verify, "ROUNDTRIP_SAMPLES", samples)
+        monkeypatch.setattr(verify.random, "Random", TiedKeys)
+        real = verify.simulate_roundtrip
+        monkeypatch.setattr(verify, "simulate_roundtrip",
+                            lambda s, *rest: seen.append(s.params) or real(s, *rest))
+        assert run_verification(6, seed=seed).ok
+        assert seen == [p for p in eligible if p in kept]  # in grid order
 
     def test_sample_is_pinned(self, monkeypatch):
         # integer draws only: every supported Python picks these for seed 7
