@@ -35,7 +35,7 @@ from .verify import (
     simulate_roundtrip,
 )
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 __all__ = [
     "Allocation",

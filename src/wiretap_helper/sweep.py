@@ -44,6 +44,10 @@ class SweepSpec(NamedTuple):
 
     def grid(self) -> list[Fraction]:
         """start, start + step, ... up to stop, each read by ``to_fraction``."""
+        return self._grid()[0]
+
+    def _grid(self) -> tuple[list[Fraction], int, int, int]:
+        """The grid and its ints A, B, D: row k is (A + k B) / D."""
         start, stop, step = to_fraction(self.start), to_fraction(self.stop), to_fraction(self.step)
         if step <= 0:
             raise ParameterError("sweep step must be positive")
@@ -51,9 +55,11 @@ class SweepSpec(NamedTuple):
             raise ParameterError("sweep start must not exceed stop")
         count = (stop - start) // step + 1
         if count > MAX_SWEEP_ROWS:
-            raise ParameterError(f"sweep has {count} rows, above the cap of {MAX_SWEEP_ROWS}")
+            shown = count if count <= 10**18 else "over 10^18"  # str() refuses 4,300 digits
+            raise ParameterError(f"sweep has {shown} rows, above the cap of {MAX_SWEEP_ROWS}")
         (a, da), (b, db) = start.as_integer_ratio(), step.as_integer_ratio()
-        return [Fraction(a * db + k * b * da, da * db) for k in range(count)]
+        A, B, D = a * db, b * da, da * db
+        return [Fraction(A + k * B, D) for k in range(count)], A, B, D
 
 
 class SweepRow(NamedTuple):
@@ -87,11 +93,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     finite-SNR beta1 sweep with a row over ``gaussian.MAX_LEVELS`` levels is
     refused before any odd-level sum, by the first error a row-by-row run
     meets: row 0's ``const_c`` rule, its float overflow of ``log_snr1``, the
-    cap.  Cells that depend only on the integer gain triple are computed once
-    per run of consecutive rows with that triple (the triple never decreases
-    as a beta grows): the bounds, ``min_ub`` and ``normalized_ub``, and on
-    deterministic and asymptotic rows every cell but ``axis_value``.
-    Finite-SNR rows still call ``gaussian_rate`` row by row.
+    cap.  The integer gain triple, and the cells that depend only on it (the
+    bounds, ``min_ub`` and ``normalized_ub``, and on deterministic and
+    asymptotic rows every cell but ``axis_value``), are found once per run of
+    rows with that triple.  A Gaussian run ends at the first row k whose swept
+    gain ceil(L v_k) exceeds the run's, found by int arithmetic on the grid's
+    v_k = (A + k B) / D.  Only finite-SNR rows build a ``GaussianParams`` each,
+    and call ``gaussian_rate``.
     """
     if type(spec.asymptotic) is not bool:
         raise ParameterError(f"asymptotic must be a bool, got {spec.asymptotic!r}")
@@ -115,8 +123,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     log_snr1 = DEFAULT_LOG_SNR1 if spec.log_snr1 is None else to_fraction(spec.log_snr1)
     const_c = 0 if spec.const_c is None else to_fraction(spec.const_c)
     per_row = gaussian and not spec.asymptotic  # rates from gaussian_rate, row by row
-    norm = log_snr1.as_integer_ratio()
-    grid = spec.grid()
+    la, lb = log_snr1.as_integer_ratio()
+    grid, A, B, D = spec._grid()
     if gaussian:
         first = GaussianParams(log_snr1, **{**fixed, spec.axis: grid[0]})
         b1, b2 = fixed.get("beta1"), fixed.get("beta2")  # None: the swept beta
@@ -127,24 +135,27 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 if over:
                     gauss.level_rate(first, 1)
                 gauss.odd_level_sum(first._replace(beta1=grid[over]))
-    rows, p = [], None
-    for v in grid:
-        last = p
-        if gaussian:
-            g = tuple.__new__(GaussianParams,
-                              (log_snr1, v, b2) if b1 is None else (log_snr1, b1, v))
-            p = correspondence(g)
-        else:
-            params = {**fixed, spec.axis: v}
-            for name, x in params.items():
-                if x.denominator != 1:
-                    raise ParameterError(f"{name} must be an integer, got {x}")
-            p = ChannelParams(**{name: int(x) for name, x in params.items()})
-        if p != last:
+        at = lambda v: tuple.__new__(GaussianParams,
+                                     (log_snr1, v, b2) if b1 is None else (log_snr1, b1, v))
+        swept = 1 if b1 is None else 2  # the swept gain's index in the triple
+    rows, end = [], 0
+    for k, v in enumerate(grid):
+        if k == end:  # the first row of a run
+            if gaussian:
+                p = correspondence(at(v))
+                # the first row with ceil(L v) > p[swept]
+                end = (p[swept] * lb * D - la * A) // (la * B) + 1
+            else:
+                params = {**fixed, spec.axis: v}
+                for name, x in params.items():
+                    if x.denominator != 1:
+                        raise ParameterError(f"{name} must be an integer, got {x}")
+                p = ChannelParams(**{name: int(x) for name, x in params.items()})
+                end = k + 1
             ub = gaussian_upper_bounds(p, const_c) if gaussian else upper_bounds(p)
             min_ub = ub.min_ub
             if per_row:
-                normalized_ub = _normalized(min_ub, *norm)
+                normalized_ub = _normalized(min_ub, la, lb)
             else:
                 br = r_achievable(p)
                 r_ach, r_private, r_common = map(Fraction, (br.r_ach, br.r_private, br.r_common))
@@ -152,9 +163,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                          _normalized(r_ach, p.n11, 1), _normalized(min_ub, p.n11, 1),
                          br.case_tag.value)
         if per_row:
-            br = gaussian_rate(g)
+            br = gaussian_rate(at(v))
             cells = (br.r_gross, br.r_private, br.r_common, *ub, min_ub,  # d = 0: r_ach is r_gross
-                     _normalized(br.r_gross, *norm) if br.d else br.normalized,
+                     _normalized(br.r_gross, la, lb) if br.d else br.normalized,
                      normalized_ub, br.case_tag.value)
         rows.append(tuple.__new__(SweepRow, (v, *cells)))
     return rows

@@ -314,6 +314,20 @@ class TestSweep:
         assert exc.value.code == 2
         assert "above the cap of 100000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--axis", "beta1", "--start", "0", "--stop", "1", "--step", "1e-5000", "--beta2", "1"],
+        ["--axis", "n21", "--start", "0", "--stop", "1e10000", "--step", "1", "--n11", "64",
+         "--n2", "1"],
+    ], ids=["tiny-step", "huge-stop"])
+    def test_huge_row_count_is_one_short_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == ("wth sweep: error: sweep has over 10^18 rows, "
+                                        "above the cap of 100000")
+        assert max(map(len, err.splitlines())) < 200
+
     def test_row_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(sweep, "MAX_SWEEP_ROWS", 3)
         spec = SweepSpec(axis="beta1", start=F(1, 10), stop=F(3, 10), step=F(1, 10))

@@ -99,6 +99,22 @@ class TestSharedCellsMatchRowByRow:
     @example("beta1", F(-1, 2), F(1, 4), 4, 0, F(1), F(40), F(-1), False)  # negative first row
     @example("beta2", F(0), F(1, 4), 4, 0, F(-1, 3), F(40), F(0), False)  # negative fixed beta
     @example("beta1", F(0), F(1, 4), 4, 0, F(1), F(0), F(0), True)  # log_snr1 = 0
+    # the end of a run, (c lb D - la A) // (la B) + 1, at its edge cases:
+    # L v an integer on every row, so every run ends at a ceil tie
+    @example("beta1", F(0), F(1, 40), 100, 0, F(1), F(40), F(0), False)
+    @example("beta2", F(0), F(1, 40), 100, F(1, 2), F(1, 2), F(40), F(0), True)
+    # L step > 1: runs of one row
+    @example("beta2", F(0), F(1, 10), 30, F(1, 2), F(1, 2), F(40), F(0), False)
+    @example("beta1", F(1, 2), F(1, 3), 6, 0, F(1), F(13, 3), F(0), True)
+    # one run over the whole grid: ceil(L v) = 1 for v in [1/2, 4/5]
+    @example("beta1", F(1, 2), F(1, 100), 30, 0, F(1), F(1), F(0), False)
+    @example("beta2", F(1, 2), F(1, 100), 30, F(1, 2), F(2), F(1), F(0), True)
+    # a start that is not a multiple of the step
+    @example("beta1", F(2, 7), F(3, 10), 9, F(1, 2), F(3, 2), F(17, 2), F(1, 2), False)
+    @example("beta2", F(1, 7), F(1, 300), 400, 0, F(3, 4), F(40), F(0), True)
+    # a huge log_snr1 with beta1 >= 1, so no finite row sums its levels
+    @example("beta1", F(1), F(1, 7), 12, 0, F(1, 2), F(10**400, 3), F(0), False)
+    @example("beta2", F(0), F(1, 3), 9, F(1, 2), F(3, 2), F(10**400, 3), F(1, 4), True)
     def test_gaussian_sweeps(self, axis, start, step, steps_on, overshoot, other, log_snr1,
                              const_c, asymptotic):
         stop = start + (steps_on + overshoot) * step
@@ -182,11 +198,13 @@ class TestCellsPerTriple:
     @pytest.mark.parametrize("asymptotic", [False, True], ids=["finite-snr", "asymptotic"])
     def test_figure_sweep(self, monkeypatch, asymptotic):
         calls = {name: counted(monkeypatch, name)
-                 for name in ("gaussian_upper_bounds", "r_achievable", "gaussian_rate")}
+                 for name in ("correspondence", "gaussian_upper_bounds", "r_achievable",
+                              "gaussian_rate")}
         rows = run_sweep(FIGURE._replace(asymptotic=asymptotic))
         assert len(rows) == 2451
         triples = calls["gaussian_upper_bounds"]
         assert len(triples) == len(set(triples)) == 99
+        assert [correspondence(g) for g in calls["correspondence"]] == triples  # one per triple
         if asymptotic:
             assert calls["r_achievable"] == triples
             assert calls["gaussian_rate"] == []
@@ -214,6 +232,26 @@ class TestCellsPerTriple:
         calls = counted(monkeypatch, "upper_bounds")
         spec = SweepSpec("n21", F(0), F(40), F(1), {"n11": F(20), "n2": F(15)})
         assert len(run_sweep(spec)) == len(calls) == len(set(calls)) == 41
+
+
+class TestRowCap:
+    """A count above ``MAX_SWEEP_ROWS`` is refused in one short line, however
+    many digits it has (``str`` refuses an int of over 4,300)."""
+
+    @pytest.mark.parametrize("spec,shown", [
+        *((SweepSpec("beta1", 0, 1, F(1, 10**e), {"beta2": 1}), "over 10^18")
+          for e in (4000, 5000)),  # a tiny step
+        *((SweepSpec("n21", 0, 10**e, 1, {"n11": 64, "n2": 1}), "over 10^18")
+          for e in (4000, 5000)),  # a huge stop
+        (SweepSpec("n21", 0, 10**18, 1, {"n11": 64, "n2": 1}), "over 10^18"),
+        (SweepSpec("n21", 1, 10**18, 1, {"n11": 64, "n2": 1}), "1000000000000000000"),
+    ], ids=["gaussian-4001-digits", "gaussian-5001-digits", "deterministic-4001-digits",
+            "deterministic-5001-digits", "just-over-10^18", "10^18"])
+    def test_refused_in_one_short_line(self, spec, shown):
+        with pytest.raises(ParameterError) as exc:
+            run_sweep(spec)
+        assert str(exc.value) == f"sweep has {shown} rows, above the cap of 100000"
+        assert len(str(exc.value)) < 200
 
 
 def finished_sums(monkeypatch):
